@@ -152,13 +152,24 @@ def _brent_rho(n: int, rng: random.Random) -> int:
             return g
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _perfect_power(n: int) -> tuple[int, int] | None:
-    """Return (b, k) with n = b^k, k >= 2, if n > 1 is a perfect power."""
-    for k in range(2, n.bit_length() + 1):
-        b = round(n ** (1.0 / k))
-        for cand in (b - 1, b, b + 1):
-            if cand >= 2 and cand**k == n:
-                return cand, k
+    """Return (b, k) with n = b^k and k >= 2 least, if n > 1 is a perfect power."""
+    for k in range(2, n.bit_length()):
+        b = _iroot(n, k)
+        if b < 2:
+            break
+        if b**k == n:
+            return b, k
     return None
 
 

@@ -30,7 +30,6 @@ class CandidateRecord:
     nagao_values: dict[int, float] = field(default_factory=dict)
     selmer: int | None = None
     rank_lb: int | None = None
-    rank_ub: int | None = None
     points: list[PointQ] = field(default_factory=list)
 
 

@@ -7,7 +7,6 @@ the command line win.  Exit code is nonzero when verification fails.
 from __future__ import annotations
 
 import argparse
-import sys
 
 from .curves import theta_from_name
 from .nagao import SieveConfig
@@ -42,7 +41,7 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     ap = argparse.ArgumentParser(prog="thetacong", description=__doc__)
     ap.add_argument("--config", help="key=value config file; flags override it")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -80,26 +79,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="deep dive on one curve")
     common(p)
     p.add_argument("n", type=int)
-    return ap
+    return ap, sub
+
+
+def _print_tally(tally: dict) -> None:
+    print("s:      " + "  ".join(f"{s:>8}" for s in list(range(6)) + [">=6"]) + f"  {'total':>8}")
+    print("count:  " + "  ".join(f"{c:>8}" for c in tally["cells"]) + f"  {tally['total']:>8}")
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
+    ap, sub = _build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "config", None):
-        defaults = _load_config(args.config)
-        known = {k: v for k, v in defaults.items() if hasattr(args, k)}
-        for key, value in known.items():
-            if f"--{key.replace('_', '-')}" not in (argv or sys.argv):
-                current = getattr(args, key)
-                if isinstance(current, bool):
-                    setattr(args, key, value.lower() in ("1", "true", "yes"))
-                elif isinstance(current, int):
-                    setattr(args, key, int(value))
-                elif key == "stages":
-                    setattr(args, key, _parse_stages(value))
-                else:
-                    setattr(args, key, value)
+    if args.config:
+        # Config values become the subcommand's defaults, so argparse gives
+        # them each flag's own type and any flag on the command line wins.
+        parser = sub.choices[args.command]
+        for key, value in _load_config(args.config).items():
+            if key in ("command", "config") or not hasattr(args, key):
+                continue
+            if isinstance(parser.get_default(key), bool):
+                value = value.lower() in ("1", "true", "yes")
+            parser.set_defaults(**{key: value})
+        args = ap.parse_args(argv)
 
     if args.command == "verify":
         report = run_verify()
@@ -134,15 +135,9 @@ def main(argv=None) -> int:
                 workers=args.workers,
                 writer=writer,
             )
-            tally = selmer_tally(recs)
-            cells = tally["cells"]
-            print("s:      " + "  ".join(f"{s:>8}" for s in list(range(6)) + [">=6"]) + f"  {'total':>8}")
-            print("count:  " + "  ".join(f"{c:>8}" for c in cells) + f"  {tally['total']:>8}")
+            _print_tally(selmer_tally(recs))
         elif args.command == "table1":
-            tally = run_table1(args.bound, theta, workers=args.workers)
-            cells = tally["cells"]
-            print("s:      " + "  ".join(f"{s:>8}" for s in list(range(6)) + [">=6"]) + f"  {'total':>8}")
-            print("count:  " + "  ".join(f"{c:>8}" for c in cells) + f"  {tally['total']:>8}")
+            _print_tally(run_table1(args.bound, theta, workers=args.workers))
         elif args.command == "hunt":
             count = 0
             for rec in run_hunt(

@@ -12,7 +12,7 @@ for reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import PointQ, ThetaParams, PI_3, TWO_PI_3

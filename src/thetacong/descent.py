@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import factorize, is_square, legendre, sqrt_mod, squarefree_part, valuation
-from .curves import INFINITY, CurveQ, PointQ, is_on_curve, is_torsion
+from .arith import factorize, is_square, legendre, sqrt_mod, valuation
+from .curves import CurveQ, PointQ, is_on_curve, is_torsion
 
 # ---------------------------------------------------------------------------
 # square classes
@@ -81,6 +81,10 @@ class IsogenyPair:
     def b_dual(self) -> int:
         return self.a * self.a - 4 * self.b
 
+    def side(self, dual: bool) -> tuple[int, int]:
+        """(a, b) of E, or of its isogenous partner when dual."""
+        return (self.a_dual, self.b_dual) if dual else (self.a, self.b)
+
     @staticmethod
     def from_curve(E: CurveQ) -> "IsogenyPair":
         return IsogenyPair(E.a2, E.a4)
@@ -113,8 +117,9 @@ class Torsor:
 
 REAL_PLACE = "real"
 
-# Below this bound local tests use the exhaustive residue BFS; at or above it
-# the symbolic route applies (the Weil-bound shortcut needs p large enough).
+# Odd p below this bound find roots and unit square values mod p by scanning
+# the residues; at or above it by polynomial algebra over F_p and the Weil
+# bound (which needs p large enough).
 _SYMBOLIC_MIN_P = 101
 
 
@@ -135,15 +140,20 @@ def _real_solvable(d: int, a: int, c: int) -> bool:
 
 def _qp_solvable(T: Torsor, p: int) -> bool:
     d, a, c = T.d, T.a, T.c
-    disc = T.quartic_disc
-    depth = 2 * valuation(disc, p) + 3
+    depth = 2 * valuation(T.quartic_disc, p) + 3
     f1 = [c, 0, a, 0, d]  # chart t = u/v
     f2 = [d, 0, a, 0, c]  # chart t = v/u
     if p == 2:
         return _zp_bfs(f1, p, depth + 2) or _zp_bfs(f2, p, depth + 2)
-    if p < _SYMBOLIC_MIN_P:
-        return _zp_small_odd(f1, p, depth) or _zp_small_odd(f2, p, depth)
-    return _zp_sym(f1, p, depth) or _zp_sym(f2, p, depth)
+    return _zp_odd(f1, p, depth) or _zp_odd(f2, p, depth)
+
+
+def _horner(g: list[int], t: int) -> int:
+    """g(t) exactly, for coefficients g listed constant term first."""
+    acc = 0
+    for coef in reversed(g):
+        acc = acc * t + coef
+    return acc
 
 
 def _is_padic_square(c: int, p: int) -> bool:
@@ -164,19 +174,17 @@ def _zp_bfs(g: list[int], p: int, maxj: int) -> bool:
 
     Nodes are classes t = r (mod p^j); values are exact integers so squares
     are recognized exactly, and a class is pruned once its valuation and unit
-    part (mod p for odd p, mod 8 for p = 2) are pinned down.
+    part (mod p for odd p, mod 8 for p = 2) are pinned down.  The class
+    around a simple root in Zp is never pinned down, so reaching j = maxj is
+    routine when the answer is yes (a neighbouring class finds the square);
+    a search that reached it and found nothing raises RuntimeError instead
+    of answering no.
     """
-
-    def ev(t: int) -> int:
-        acc = 0
-        for coef in reversed(g):
-            acc = acc * t + coef
-        return acc
-
+    capped = False
     stack = [(i, 1) for i in range(p)]
     while stack:
         r, j = stack.pop()
-        c = ev(r)
+        c = _horner(g, r)
         if c == 0:
             return True
         if _is_padic_square(c, p):
@@ -186,9 +194,14 @@ def _zp_bfs(g: list[int], p: int, maxj: int) -> bool:
             determined = e < j if e & 1 else j - e >= 3
         else:
             determined = e < j
-        if not determined and j < maxj:
+        if not determined:
+            if j >= maxj:
+                capped = True
+                continue
             pj = p**j
             stack.extend((r + i * pj, j + 1) for i in range(p))
+    if capped:
+        raise RuntimeError(f"depth cap reached deciding w^2 = {g} (constant term first) over Z_{p}")
     return False
 
 
@@ -203,51 +216,51 @@ def _qr_set(p: int) -> frozenset[int]:
     return qr
 
 
-def _eval_mod(g: list[int], t: int, p: int) -> int:
-    acc = 0
-    for coef in reversed(g):
-        acc = (acc * t + coef) % p
-    return acc
+def _zp_odd(g: list[int], p: int, depth: int) -> bool:
+    """Does w^2 = g(t) have t in Zp, w in Qp, for odd p?
 
-
-def _zp_small_odd(g: list[int], p: int, depth: int) -> bool:
-    """Zp test for small odd p: one mod-p residue scan, recursing only at
-    roots.  Same semantics as the residue-tree search, much cheaper."""
+    After the p^2 content is stripped, a unit square value of g mod p lifts
+    by Hensel, and so does a simple root of g (or of g/p when p divides every
+    coefficient; then unit values have odd valuation and never help).  Only
+    multiple roots mod p need refinement, at most depth levels deep; running
+    out of depth raises RuntimeError.
+    """
     if depth < 0:
-        return False
-    p2 = p * p
-    while all(c % p2 == 0 for c in g):
-        g = [c // p2 for c in g]
-    if all(c % p == 0 for c in g):
-        h0 = [(c // p) % p for c in g]
-        dh0 = [(i * c) % p for i, c in enumerate(h0)][1:]
+        raise RuntimeError(f"depth cap reached deciding w^2 = {g} (constant term first) over Z_{p}")
+    e = valuation(math.gcd(*g), p)
+    if e > 1:
+        q = p ** (e & ~1)
+        g = [c // q for c in g]
+    content = e & 1
+    g0 = [(c // p) % p if content else c % p for c in g]
+    if p < _SYMBOLIC_MIN_P:
+        # one residue scan finds the roots and any unit square value
+        squares = () if content else _qr_set(p)
+        roots = []
         for r in range(p):
-            if _eval_mod(h0, r, p) == 0:
-                if _eval_mod(dh0, r, p) != 0:
-                    return True  # simple root: h(r+ps)/p sweeps all units
-                if _zp_small_odd(_shift_scale(g, r, p), p, depth - 1):
-                    return True
-        return False
-    qr = _qr_set(p)
-    g0 = [c % p for c in g]
-    dg0 = [(i * c) % p for i, c in enumerate(g0)][1:]
-    roots = []
-    for r in range(p):
-        v = _eval_mod(g0, r, p)
-        if v == 0:
-            roots.append(r)
-        elif v in qr:
-            return True
+            v = _horner(g0, r) % p
+            if v == 0:
+                roots.append(r)
+            elif v in squares:
+                return True
+    else:
+        if not content:
+            # Weil: unless g0 = const * square, g0 takes unit square values
+            cs = _const_times_square(_ptrim(g0[:]), p)
+            if cs is None or legendre(cs[0], p) == 1:
+                return True
+        roots = _roots_mod_p(g0, p)
+    dg0 = [i * c for i, c in enumerate(g0)][1:]
     for r in roots:
-        if _eval_mod(dg0, r, p) != 0:
-            return True  # simple root lifts to an exact zero of g
-        if _zp_small_odd(_shift_scale(g, r, p), p, depth - 1):
+        if _horner(dg0, r) % p:
+            return True
+        if _zp_odd(_shift_scale(g, r, p), p, depth - 1):
             return True
     return False
 
 
 # ---------------------------------------------------------------------------
-# symbolic Zp test for large odd p (no O(p) loops)
+# polynomial algebra over F_p for large odd p (no O(p) loops)
 
 def _ptrim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
@@ -395,49 +408,6 @@ def _shift_scale(g: list[int], r: int, p: int) -> list[int]:
     return out
 
 
-def _peval_int(g: list[int], t: int) -> int:
-    acc = 0
-    for coef in reversed(g):
-        acc = acc * t + coef
-    return acc
-
-
-def _zp_sym(g: list[int], p: int, depth: int) -> bool:
-    """Zp-solvability of w^2 = g(t) for odd p >= _SYMBOLIC_MIN_P.
-
-    Avoids O(p) residue loops: a reduction that is not a constant times a
-    square of a polynomial takes unit square values by the Weil bound, and
-    only the finitely many roots mod p need refinement.
-    """
-    if depth < 0:
-        return False
-    p2 = p * p
-    while all(c % p2 == 0 for c in g):
-        g = [c // p2 for c in g]
-    if all(c % p == 0 for c in g):
-        h = [c // p for c in g]
-        h0 = [c % p for c in h]
-        dh0 = [(i * c) % p for i, c in enumerate(h0)][1:]
-        for r in _roots_mod_p(h0, p):
-            if _peval_int(dh0, r) % p != 0:
-                # simple root: h(r + ps)/p sweeps all units, pick a residue
-                return True
-            if _zp_sym(_shift_scale(g, r, p), p, depth - 1):
-                return True
-        return False
-    g0 = _ptrim([c % p for c in g])
-    cs = _const_times_square(g0, p)
-    if cs is None:
-        return True  # Weil: some unit square value exists
-    cval, s = cs
-    if legendre(cval, p) == 1:
-        return True
-    for r in _roots_mod_p(s, p):
-        if _zp_sym(_shift_scale(g, r, p), p, depth - 1):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Selmer sets
 
@@ -461,11 +431,24 @@ def _bad_places(a: int, b: int) -> list[int]:
     return sorted(support)
 
 
-def _torsor_everywhere_solvable(d: int, a: int, b: int, places: list[int]) -> bool:
-    T = Torsor.build(d, a, b)
-    if not locally_solvable(T, REAL_PLACE):
-        return False
-    return all(locally_solvable(T, p) for p in places)
+def _local_verdicts(T: Torsor, places: list[int]) -> list[tuple[str | int, bool]]:
+    """(place, solvable) at R and then at each place in turn, up to the first
+    failure; T is everywhere locally solvable iff the last verdict is."""
+    verdicts = []
+    for place in (REAL_PLACE, *places):
+        ok = locally_solvable(T, place)
+        verdicts.append((place, ok))
+        if not ok:
+            break
+    return verdicts
+
+
+def torsor_verdicts(pair: IsogenyPair, dual: bool = False) -> list[tuple[int, list[tuple[str | int, bool]]]]:
+    """Every torsor of one isogeny direction, as (d, local verdicts) for each
+    signed squarefree d | b, decided as selmer_set decides them."""
+    a, b = pair.side(dual)
+    places = _bad_places(pair.a, pair.b)
+    return [(d, _local_verdicts(Torsor.build(d, a, b), places)) for d in _signed_squarefree_divisors(b)]
 
 
 def selmer_set(a: int, b: int, places: list[int] | None = None) -> frozenset[int]:
@@ -484,7 +467,7 @@ def selmer_set(a: int, b: int, places: list[int] | None = None) -> frozenset[int
         if any(class_mul(d, s) in nonmembers for s in members):
             nonmembers.add(d)
             continue
-        if _torsor_everywhere_solvable(d, a, b, places):
+        if _local_verdicts(Torsor.build(d, a, b), places)[-1][1]:
             members |= {class_mul(d, s) for s in members}
         else:
             nonmembers.update(class_mul(d, s) for s in members)
@@ -494,17 +477,18 @@ def selmer_set(a: int, b: int, places: list[int] | None = None) -> frozenset[int
 def phi_selmer(pair: IsogenyPair, dual: bool = False) -> frozenset[int]:
     """S^phi (dual=False: torsors of (a, b), bounding E(Q)/phi-hat E'(Q));
     dual=True uses (a_dual, b_dual)."""
-    places = _bad_places(pair.a, pair.b)
-    if dual:
-        return selmer_set(pair.a_dual, pair.b_dual, places)
-    return selmer_set(pair.a, pair.b, places)
+    return selmer_set(*pair.side(dual), _bad_places(pair.a, pair.b))
 
 
 def selmer_rank(E: CurveQ) -> int:
-    """log2(|S^phi| * |S^phi-hat|) - 2; an upper bound for the rank."""
+    """log2(|S^phi| * |S^phi-hat|) - 2; an upper bound for the rank.
+
+    Both isogeny directions have the same bad places, found once here.
+    """
     pair = IsogenyPair.from_curve(E)
-    s1 = phi_selmer(pair, dual=False)
-    s2 = phi_selmer(pair, dual=True)
+    places = _bad_places(pair.a, pair.b)
+    s1 = selmer_set(pair.a, pair.b, places)
+    s2 = selmer_set(pair.a_dual, pair.b_dual, places)
     prod = len(s1) * len(s2)
     k = prod.bit_length() - 1
     if 1 << k != prod or k < 2:
@@ -632,11 +616,11 @@ def _direct_sweep(E: CurveQ, height_bound: int):
 
 def _torsor_sweep(E: CurveQ, bound: int):
     pair = IsogenyPair.from_curve(E)
+    places = _bad_places(pair.a, pair.b)
     bdual = pair.b_dual
     for dual in (False, True):
-        a = pair.a_dual if dual else pair.a
-        b = pair.b_dual if dual else pair.b
-        for d in phi_selmer(pair, dual=dual):
+        a, b = pair.side(dual)
+        for d in selmer_set(a, b, places):
             c = b // d
             for u in range(1, bound + 1):
                 for v in range(1, bound + 1):
@@ -719,10 +703,8 @@ def full_descent(E: CurveQ, height_bound: int = 1000, torsor_bound: int | None =
     """Selmer sets, Selmer rank, bounded point search, and the rank lower
     bound certified by the found points."""
     pair = IsogenyPair.from_curve(E)
-    s1 = phi_selmer(pair, dual=False)
-    s2 = phi_selmer(pair, dual=True)
-    prod = len(s1) * len(s2)
-    srank = prod.bit_length() - 3
+    s1, s2 = phi_selmer(pair), phi_selmer(pair, dual=True)
+    srank = selmer_rank(E)
     pts = search_points(E, height_bound, torsor_bound)
     lb = rank_lower_bound(pts, E) if pts else 0
     return DescentReport(s1, s2, srank, lb, pts)

@@ -9,7 +9,7 @@ and terms are accumulated in increasing-p order for determinism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arith import primes_below
 from .curves import CurveQ, has_good_reduction

@@ -11,40 +11,32 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import dataset
+# factorize is re-exported: perfbench/selftest.py checks that the tracer
+# wraps it under every module that holds it, pipeline included.
 from .arith import Factorization, factorize, squarefree_flags, smallest_prime_factors
-from .candidates import CandidateRecord, generate_candidates, omega_odd
+from .candidates import CandidateRecord, generate_candidates
 from .curves import (
-    CurveQ,
-    PointQ,
     ThetaParams,
     build_curve,
     is_on_curve,
     point_from_strings,
     point_to_strings,
     theta_from_name,
-    two_torsion,
 )
 from .descent import (
-    DescentReport,
+    REAL_PLACE,
     IsogenyPair,
-    Torsor,
     full_descent,
     has_small_nontorsion_point,
-    locally_solvable,
-    phi_selmer,
     rank_lower_bound,
     search_points,
     selmer_rank,
-    REAL_PLACE,
-    _bad_places,
-    _signed_squarefree_divisors,
+    torsor_verdicts,
 )
 from .nagao import SieveConfig, nagao_sum, passes_filter
 
@@ -347,28 +339,15 @@ def run_analyze(n: int, theta: ThetaParams, height_bound: int = 1000, torsor_bou
     lines.append(f"  2-torsion x: {E.two_torsion_x}")
     for N in (1000, 10000):
         lines.append(f"  S({N}) = {nagao_sum(E, N):.4f}")
-    pair = IsogenyPair.from_curve(E)
-    places = _bad_places(pair.a, pair.b)
-    for dual in (False, True):
-        a = pair.a_dual if dual else pair.a
-        b = pair.b_dual if dual else pair.b
-        side = "dual" if dual else "forward"
-        sel = phi_selmer(pair, dual=dual)
-        lines.append(f"  {side} torsors (a={a}, b={b}); Selmer set {sorted(sel, key=abs)}")
-        for d in _signed_squarefree_divisors(b):
-            T = Torsor.build(d, a, b)
-            verdicts = []
-            if not locally_solvable(T, REAL_PLACE):
-                verdicts.append("R:no")
-            else:
-                verdicts.append("R:ok")
-                for p in places:
-                    if not locally_solvable(T, p):
-                        verdicts.append(f"{p}:no")
-                        break
-                    verdicts.append(f"{p}:ok")
-            lines.append(f"    d={d:>6}  {' '.join(verdicts)}")
     rep = full_descent(E, height_bound, torsor_bound)
+    pair = IsogenyPair.from_curve(E)
+    for dual, sel in ((False, rep.selmer_phi), (True, rep.selmer_phi_dual)):
+        a, b = pair.side(dual)
+        side = "dual" if dual else "forward"
+        lines.append(f"  {side} torsors (a={a}, b={b}); Selmer set {sorted(sel, key=abs)}")
+        for d, verdicts in torsor_verdicts(pair, dual):
+            marks = (f"{'R' if place == REAL_PLACE else place}:{'ok' if ok else 'no'}" for place, ok in verdicts)
+            lines.append(f"    d={d:>6}  {' '.join(marks)}")
     lines.append(f"  selmer rank = {rep.selmer_rank}")
     lines.append(f"  points found (bound {height_bound}/{torsor_bound}): {len(rep.points_found)}")
     for P in rep.points_found[:10]:

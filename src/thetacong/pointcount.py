@@ -2,12 +2,11 @@
 
 N_p = 1 + sum_x (1 + chi_p(x^3 + a2 x^2 + a4 x)) with chi_p(0) = 0, so
 a_p = -sum_x chi_p(f(x)).  The table-driven numpy path handles the sieve's
-p < 1e5 range quickly; a plain-Python path backs very small p and tests.
+p < 1e5 range quickly; a plain-Python path backs very small p.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,40 +67,5 @@ def _char_sum_table(a2: int, a4: int, p: int) -> int:
     return int(chi[f].sum(dtype=np.int64))
 
 
-def count_points_bruteforce(E: CurveQ, p: int) -> LocalCount:
-    """Independent O(p^2) oracle: enumerate all (x, y) in F_p^2."""
-    a2, a4 = E.a2 % p, E.a4 % p
-    rhs = [(x * ((x * x + a2 * x + a4) % p)) % p for x in range(p)]
-    count = 1
-    for y in range(p):
-        y2 = y * y % p
-        for v in rhs:
-            if v == y2:
-                count += 1
-    return LocalCount(p, count, p + 1 - count)
-
-
 def hasse_bound_ok(lc: LocalCount) -> bool:
     return lc.ap * lc.ap <= 4 * lc.p
-
-
-__all__ = [
-    "LocalCount",
-    "count_points",
-    "count_points_bruteforce",
-    "hasse_bound_ok",
-]
-
-
-def trace_sweep(E: CurveQ, primes: list[int]) -> list[LocalCount]:
-    """Counts for every odd good prime in the given list, in order."""
-    out = []
-    for p in primes:
-        if p != 2 and has_good_reduction(E, p):
-            out.append(count_points(E, p))
-    return out
-
-
-def _selfcheck_mod4(counts: list[LocalCount]) -> bool:
-    # full rational 2-torsion injects into E(F_p) for odd good p
-    return all(lc.Np % 4 == 0 for lc in counts)

@@ -8,6 +8,7 @@ import pytest
 
 from thetacong.arith import (
     Factorization,
+    _perfect_power,
     factorize,
     is_prime,
     is_square,
@@ -168,3 +169,34 @@ def test_is_prime_edges():
     assert not is_prime(561)
     assert not is_prime(3215031751)
     assert is_prime(2**61 - 1)
+
+
+def test_perfect_power_past_float_range():
+    # 3^700 is far above the largest double
+    assert _perfect_power(3**700) == (3**350, 2)
+    assert _perfect_power(7**301) == (7**43, 7)
+    assert _perfect_power(3**700 + 1) is None
+
+
+def test_perfect_power_large_bases():
+    # bases above 2^53 have no exact float root; every power must still be seen
+    rng = random.Random(90)
+    for _ in range(200):
+        b = rng.getrandbits(90) | (1 << 89)
+        for k in (2, 3, 5):
+            r, e = _perfect_power(b**k)
+            assert r**e == b**k and e <= k
+        assert _perfect_power(b * b + 1) is None
+
+
+def test_perfect_power_small_cases():
+    for n in range(2, 3000):
+        expected = next(((b, k) for k in range(2, 12) for b in range(2, 60) if b**k == n), None)
+        assert _perfect_power(n) == expected
+
+
+def test_factorize_square_of_large_prime():
+    # the cofactor after trial division is a perfect square of a prime > 2^53
+    p = 2**89 - 1
+    assert factorize(p * p) == Factorization(1, ((p, 2),))
+    assert factorize(-3 * p**3) == Factorization(-1, ((3, 1), (p, 3)))

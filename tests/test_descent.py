@@ -249,7 +249,7 @@ def test_small_odd_route_matches_residue_tree():
                 continue
             # depth 12 exceeds what any of these quartics need, so both
             # routes are complete decision procedures and must agree
-            assert D._zp_small_odd(g, p, 12) == D._zp_bfs(g, p, 12), (g, p)
+            assert D._zp_odd(g, p, 12) == D._zp_bfs(g, p, 12), (g, p)
 
 
 def test_symbolic_route_matches_residue_tree():
@@ -261,7 +261,19 @@ def test_symbolic_route_matches_residue_tree():
                 continue
             if rng.random() < 0.3:
                 g = [c * p for c in g]  # exercise the content-stripping branch
-            assert D._zp_sym(g, p, 12) == D._zp_bfs(g, p, 12), (g, p)
+            assert D._zp_odd(g, p, 12) == D._zp_bfs(g, p, 12), (g, p)
+
+
+def test_exhausted_depth_cap_raises():
+    # w^2 = 2t^2 + 18 at p = 3: no unit square value mod 3 and a double root
+    # at t = 0, decided one level down (t = 3 gives 36).  Without that level
+    # the routes must raise, not answer "not solvable".
+    g = [18, 0, 2, 0, 0]
+    assert D._zp_odd(g, 3, 1) and D._zp_bfs(g, 3, 2)
+    with pytest.raises(RuntimeError, match="depth cap"):
+        D._zp_odd(g, 3, 0)
+    with pytest.raises(RuntimeError, match="depth cap"):
+        D._zp_bfs(g, 3, 1)
 
 
 def test_global_point_certifies_torsor():

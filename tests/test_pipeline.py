@@ -4,6 +4,7 @@ sweep and hunt flows, golden verification, and the CLI surface."""
 import json
 import math
 import os
+import pathlib
 
 import pytest
 
@@ -25,6 +26,8 @@ from thetacong.pipeline import (
     run_verify,
     selmer_tally,
 )
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def test_record_json_roundtrip():
@@ -163,9 +166,12 @@ def test_analyze_output():
     text = run_analyze(1, PI_3, height_bound=100, torsor_bound=20)
     assert "selmer rank = 0" in text
     assert "rank lower bound from found points = 0" in text
+    # the full report, torsor verdict lines included, is pinned byte for byte
+    assert text == (DATA / "analyze_1_pi3.txt").read_text()
     text = run_analyze(221, TWO_PI_3, height_bound=300, torsor_bound=40)
     assert "selmer rank = 3" in text
     assert "rank lower bound from found points = 3" in text
+    assert text == (DATA / "analyze_221_2pi3.txt").read_text()
 
 
 def test_check_s0_has_no_small_point():
@@ -208,3 +214,15 @@ def test_cli_config_file(tmp_path, capsys):
     assert cli_main(["--config", str(cfg), "analyze", "5"]) == 0
     out = capsys.readouterr().out
     assert "E_{5,2pi/3}" in out
+
+    # a config value takes its flag's type: selmer_min is compared as an int
+    cfg.write_text("selmer_min = 0\nstages = 100:-1000\nheight-bound = 20\ntorsor_bound = 5\n")
+    assert cli_main(["--config", str(cfg), "hunt", "--pmax", "5", "--qmax", "5", "--min-omega", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "survivors" in out and not out.startswith("0 survivors")
+
+    # a command-line flag beats the config file in both spellings
+    cfg.write_text("height_bound = 20\ntorsor_bound = 7\n")
+    for flag in (["--torsor-bound=9"], ["--torsor-bound", "9"]):
+        assert cli_main(["--config", str(cfg), "analyze", "1", *flag]) == 0
+        assert "(bound 20/9)" in capsys.readouterr().out

@@ -1,0 +1,41 @@
+"""Structure checks on the package source: no module reaches into another
+module's private names, and no module carries an unused import."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "thetacong"
+MODULES = sorted(SRC.glob("*.py"))
+# Imports kept only so that other code finds the name in that module.
+REEXPORTS = {"pipeline.py": {"factorize"}}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    private = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("thetacong")):
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"{path.name} imports private names {private}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_unused_top_level_imports(path):
+    tree = _tree(path)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(name for name in imported if name not in used | REEXPORTS.get(path.name, set()))
+    assert not unused, f"{path.name} has unused imports {unused}"
