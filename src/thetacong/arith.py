@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.317e24
-# (Sorenson & Webster).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The primes up to 41: trial divisors, then Miller-Rabin witnesses.  As
+# witnesses they are deterministic for all n < psi_13 = 3317044064679887385961981
+# (Sorenson & Webster); the first 12 alone fail at psi_12 ~ 3.2e23.  A witness
+# must be trial-divided first, or witness 41 would misjudge n = 41.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _TRIAL_BOUND = 50_000
 _small_primes: list[int] | None = None
@@ -25,7 +27,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (valid for n < 3.3e24)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1

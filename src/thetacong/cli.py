@@ -37,7 +37,7 @@ def _load_config(path: str) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
+            out[key.strip()] = value.strip()
     return out
 
 
@@ -93,8 +93,14 @@ def main(argv=None) -> int:
     if args.config:
         # Config values become the subcommand's defaults, so argparse gives
         # them each flag's own type and any flag on the command line wins.
+        # One file may serve several subcommands, so a key is an error only
+        # when it names no flag of any of them.
         parser = sub.choices[args.command]
-        for key, value in _load_config(args.config).items():
+        known = {a.dest for p in (ap, *sub.choices.values()) for a in p._actions}
+        for raw_key, value in _load_config(args.config).items():
+            key = raw_key.replace("-", "_")
+            if key not in known:
+                ap.error(f"config file {args.config}: {raw_key!r} names no flag")
             if key in ("command", "config") or not hasattr(args, key):
                 continue
             if isinstance(parser.get_default(key), bool):

@@ -10,6 +10,7 @@ bounded point search.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -326,11 +327,13 @@ def _roots_mod_p(f: list[int], p: int) -> list[int]:
     f = _ptrim([c % p for c in f])
     if not f:
         raise ValueError("zero polynomial")
+    # 0 is a root iff t | f; the roots of f / t^k are then all nonzero
+    k = next(i for i, c in enumerate(f) if c)
+    zero, f = [0] * (k > 0), _pmonic(f[k:], p)
     if len(f) == 1:
-        return []
-    f = _pmonic(f, p)
+        return zero
     if len(f) == 2:
-        return [(-f[0]) % p]
+        return zero + [(-f[0]) % p]
     # split poly: gcd(x^p - x, f)
     xp = _ppowmod([0, 1], p, f, p)
     xp_minus_x = xp[:]
@@ -338,7 +341,7 @@ def _roots_mod_p(f: list[int], p: int) -> list[int]:
         xp_minus_x.append(0)
     xp_minus_x[1] = (xp_minus_x[1] - 1) % p
     g = _pgcd(xp_minus_x, f, p)
-    return sorted(_split_linear(g, p))
+    return zero + sorted(_split_linear(g, p))
 
 
 def _split_linear(g: list[int], p: int) -> list[int]:
@@ -587,104 +590,93 @@ _SQ_MASK_64[(np.arange(32) ** 2) % 64] = True
 _SQ_MOD_ODD = 45045  # 3^2 * 5 * 7 * 11 * 13
 _SQ_MASK_ODD = np.zeros(_SQ_MOD_ODD, dtype=bool)
 _SQ_MASK_ODD[(np.arange(_SQ_MOD_ODD, dtype=np.int64) ** 2) % _SQ_MOD_ODD] = True
+# The sweeps evaluate their values mod M = _SIEVE_MOD = 2,882,880 in int64.
+# Every operand entering numpy is a residue below M (the coefficients, up to
+# ~1e24 for the record curves, are reduced as Python ints first), so each
+# product is below M^2 ~ 8.3e12 and each sum of three is below 2.5e13, far
+# under 2^63.
+_SIEVE_MOD = 64 * _SQ_MOD_ODD
 
 
-def _square_if_any(v: int) -> int | None:
-    """isqrt(v) if v is a positive perfect square, else None (fast filter)."""
-    if v <= 0:
-        return None
-    if not _SQ_MASK_64[v & 63] or not _SQ_MASK_ODD[v % _SQ_MOD_ODD]:
-        return None
-    r = math.isqrt(v)
-    return r if r * r == v else None
+def _maybe_square(vmod: np.ndarray) -> np.ndarray:
+    """True at each residue mod _SIEVE_MOD that can be a square."""
+    return _SQ_MASK_64[vmod & 63] & _SQ_MASK_ODD[vmod % _SQ_MOD_ODD]
 
 
-def _direct_sweep(E: CurveQ, height_bound: int):
-    for e in range(1, height_bound + 1):
+def _x_sweep(E: CurveQ, mmax: int, emax: int):
+    """Points (m/e^2, w/e^3) with 0 < |m| <= mmax, 1 <= e <= emax,
+    gcd(m, e) = 1 and w^2 = m(m^2 + a2 e^2 m + a4 e^4) > 0."""
+    M = _SIEVE_MOD
+    ms = np.arange(-mmax, mmax + 1, dtype=np.int64)  # m = 0 gives v = 0
+    m1 = ms % M
+    m2 = m1 * m1 % M
+    m3 = m2 * m1 % M
+    for e in range(1, emax + 1):
         e2 = e * e
-        A = E.a2 * e2
-        B = E.a4 * e2 * e2
-        e3 = e2 * e
-        for m in range(-height_bound, height_bound + 1):
-            if m == 0 or math.gcd(m, e) != 1:
-                continue
+        A, B = E.a2 * e2, E.a4 * e2 * e2
+        cand = _maybe_square((m3 + A % M * m2 + B % M * m1) % M) & (np.gcd(ms, e) == 1)
+        for m in ms[cand].tolist():
             v = m * (m * m + A * m + B)
-            w = _square_if_any(v)
-            if w is not None:
-                yield PointQ(Fraction(m, e2), Fraction(w, e3))
+            if v > 0 and is_square(v):
+                yield PointQ(Fraction(m, e2), Fraction(math.isqrt(v), e2 * e))
 
 
 def _torsor_sweep(E: CurveQ, bound: int):
+    """Points w^2 = d u^4 + a u^2 v^2 + c v^4, coprime 1 <= u, v <= bound, on
+    the Selmer torsors of both directions (dual hits are pulled back)."""
+    M = _SIEVE_MOD
     pair = IsogenyPair.from_curve(E)
     places = _bad_places(pair.a, pair.b)
-    bdual = pair.b_dual
+    us = np.arange(1, bound + 1, dtype=np.int64)
+    U, V = np.repeat(us, bound), np.tile(us, bound)
+    coprime = np.gcd(U, V) == 1
+    U, V = U[coprime], V[coprime]
+    u2, v2 = U * U % M, V * V % M
+    u4, uv, v4 = u2 * u2 % M, u2 * v2 % M, v2 * v2 % M
     for dual in (False, True):
         a, b = pair.side(dual)
         for d in selmer_set(a, b, places):
             c = b // d
-            for u in range(1, bound + 1):
-                for v in range(1, bound + 1):
-                    if math.gcd(u, v) != 1:
-                        continue
-                    val = d * u**4 + a * u * u * v * v + c * v**4
-                    w = _square_if_any(val)
-                    if w is None:
-                        continue
-                    X = Fraction(d * u * u, v * v)
-                    Y = Fraction(d * u * w, v**3)
-                    if not dual:
-                        yield PointQ(X, Y)
-                    elif X != 0 and Y != 0:
-                        # pull back through the dual isogeny E' -> E
-                        x = Y * Y / (4 * X * X)
-                        y = Y * (X * X - bdual) / (8 * X * X)
-                        yield PointQ(x, y)
+            cand = _maybe_square((d % M * u4 + a % M * uv + c % M * v4) % M)
+            for i in np.flatnonzero(cand).tolist():
+                u, v = int(U[i]), int(V[i])
+                val = d * u**4 + a * u * u * v * v + c * v**4
+                if val <= 0 or not is_square(val):
+                    continue
+                X = Fraction(d * u * u, v * v)
+                Y = Fraction(d * u * math.isqrt(val), v**3)
+                if not dual:
+                    yield PointQ(X, Y)
+                elif X != 0 and Y != 0:
+                    # pull back through the dual isogeny E' -> E
+                    x = Y * Y / (4 * X * X)
+                    y = Y * (X * X - pair.b_dual) / (8 * X * X)
+                    yield PointQ(x, y)
 
 
 def search_points(E: CurveQ, height_bound: int, torsor_bound: int | None = None) -> list[PointQ]:
-    """Non-torsion points found by (i) the direct x = m/e^2 sweep and
-    (ii) u,v sweeps over the everywhere-locally-solvable torsors."""
+    """Non-torsion points found by (i) the x = m/e^2 sweep, |m|, e <= height_bound,
+    and (ii) u, v <= torsor_bound sweeps over the everywhere-locally-solvable
+    torsors (torsor_bound defaults to height_bound; 0 skips them)."""
     if height_bound < 1:
         raise ValueError("height_bound must be >= 1")
     if torsor_bound is None:
         torsor_bound = height_bound
+    candidates = _x_sweep(E, height_bound, height_bound)
+    if torsor_bound > 0:
+        candidates = itertools.chain(candidates, _torsor_sweep(E, torsor_bound))
     seen: dict[tuple, PointQ] = {}
-    for P in _direct_sweep(E, height_bound):
+    for P in candidates:
         if P.y != 0 and is_on_curve(P, E) and not is_torsion(P, E):
             seen.setdefault((P.x, P.y), P)
-    if torsor_bound > 0:
-        for P in _torsor_sweep(E, torsor_bound):
-            if P.y != 0 and is_on_curve(P, E) and not is_torsion(P, E):
-                seen.setdefault((P.x, P.y), P)
     def height(P: PointQ) -> int:
         return max(abs(P.x.numerator), P.x.denominator)
     return sorted(seen.values(), key=lambda P: (height(P), P.x, P.y))
 
 
 def has_small_nontorsion_point(E: CurveQ, xheight: int) -> bool:
-    """Fast numpy check: any non-torsion point with x = m/e^2, |m|, e^2 <= xheight."""
-    emax = math.isqrt(xheight)
-    ms = np.arange(-xheight, xheight + 1, dtype=np.int64)
-    for e in range(1, emax + 1):
-        e2 = e * e
-        A = E.a2 * e2
-        B = E.a4 * e2 * e2
-        ok = (ms != 0) & (np.gcd(np.abs(ms), e) == 1)
-        m64 = _SQ_MOD_ODD * 64
-        vmod = (
-            (ms % m64) * (ms % m64) % m64 * (ms % m64)
-            + (A % m64) * (ms % m64) % m64 * (ms % m64)
-            + (B % m64) * (ms % m64)
-        ) % m64
-        cand = ok & _SQ_MASK_ODD[vmod % _SQ_MOD_ODD] & _SQ_MASK_64[vmod % 64]
-        for m in ms[cand]:
-            m = int(m)
-            v = m * (m * m + A * m + B)
-            if v > 0 and is_square(v):
-                P = PointQ(Fraction(m, e2), Fraction(math.isqrt(v), e2 * e))
-                if not is_torsion(P, E):
-                    return True
-    return False
+    """Any non-torsion point with x = m/e^2, |m|, e^2 <= xheight?"""
+    return any(not is_torsion(P, E) for P in _x_sweep(E, xheight, math.isqrt(xheight)))
 
 
 # ---------------------------------------------------------------------------

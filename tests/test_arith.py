@@ -59,6 +59,9 @@ def test_factorize_large_semiprime():
     p, q = 1_000_003, 999_999_937
     f = factorize(p * q)
     assert f == Factorization(1, ((p, 1), (q, 1)))
+    # psi_12 passes Miller-Rabin for the bases up to 37
+    p, q = 399165290221, 798330580441
+    assert factorize(p * q) == Factorization(1, ((p, 1), (q, 1)))
 
 
 def test_squarefree_part_examples():
@@ -169,6 +172,9 @@ def test_is_prime_edges():
     assert not is_prime(561)
     assert not is_prime(3215031751)
     assert is_prime(2**61 - 1)
+    assert is_prime(41) and is_prime(43)
+    # psi_12, a strong pseudoprime to every prime base up to 37
+    assert not is_prime(318665857834031151167461)
 
 
 def test_perfect_power_past_float_range():

@@ -2,13 +2,14 @@
 independent p-adic brute-force oracle), Selmer sets and ranks, descent images,
 rank lower bounds, and the bounded point search."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import thetacong.descent as D
-from thetacong.arith import factorize, squarefree_part, valuation
+from thetacong.arith import factorize, is_square, squarefree_flags, squarefree_part, valuation
 from thetacong.curves import (
     INFINITY,
     PI_3,
@@ -17,6 +18,7 @@ from thetacong.curves import (
     add,
     build_curve,
     is_on_curve,
+    is_torsion,
     scalar_mul,
 )
 from thetacong.descent import (
@@ -262,6 +264,11 @@ def test_symbolic_route_matches_residue_tree():
             if rng.random() < 0.3:
                 g = [c * p for c in g]  # exercise the content-stripping branch
             assert D._zp_odd(g, p, 12) == D._zp_bfs(g, p, 12), (g, p)
+    # t^k times a polynomial with nonzero constant term, monomials included
+    for g in ([0, 0, 0, 0, 7], [0, 0, -1, 0, 1], [0, 5, 0, 0, 0], [0, 0, 0, 2, 5]):
+        p = 103
+        assert D._roots_mod_p(g, p) == [r for r in range(p) if D._horner(g, r) % p == 0], g
+        assert D._zp_odd(g, p, 12) == D._zp_bfs(g, p, 12), g
 
 
 def test_exhausted_depth_cap_raises():
@@ -467,6 +474,69 @@ def test_found_point_classes_lie_in_selmer_set():
         for P in search_points(E, 200, torsor_bound=40):
             if P.x != 0:
                 assert square_class(P.x, sorted(E.bad_primes)) in S
+
+
+def _oracle_x_points(E, mmax, emax):
+    # every x = m/e^2 tried exactly, no residue filter
+    for e in range(1, emax + 1):
+        for m in range(-mmax, mmax + 1):
+            v = m * (m * m + E.a2 * e * e * m + E.a4 * e**4)
+            if m and math.gcd(m, e) == 1 and v > 0 and is_square(v):
+                yield PointQ(Fraction(m, e * e), Fraction(math.isqrt(v), e**3))
+
+
+def _oracle_torsor_points(E, bound):
+    # every coprime (u, v) on every Selmer torsor tried exactly
+    pair = IsogenyPair.from_curve(E)
+    for dual in (False, True):
+        a, b = pair.side(dual)
+        for d in phi_selmer(pair, dual):
+            for u in range(1, bound + 1):
+                for v in range(1, bound + 1):
+                    val = d * u**4 + a * u * u * v * v + b // d * v**4
+                    if math.gcd(u, v) > 1 or val <= 0 or not is_square(val):
+                        continue
+                    X, Y = Fraction(d * u * u, v * v), Fraction(d * u * math.isqrt(val), v**3)
+                    if not dual:
+                        yield PointQ(X, Y)
+                    elif X and Y:
+                        yield PointQ(Y * Y / (4 * X * X), Y * (X * X - pair.b_dual) / (8 * X * X))
+
+
+def _oracle_search(E, height_bound, torsor_bound):
+    pts = {(P.x, P.y): P for P in [*_oracle_x_points(E, height_bound, height_bound),
+                                   *_oracle_torsor_points(E, torsor_bound)]
+           if P.y != 0 and is_on_curve(P, E) and not is_torsion(P, E)}
+    height = lambda P: max(abs(P.x.numerator), P.x.denominator)  # noqa: E731
+    return sorted(pts.values(), key=lambda P: (height(P), P.x, P.y))
+
+
+def test_search_points_matches_unsieved_oracle():
+    flags = squarefree_flags(200)
+    for theta in (PI_3, TWO_PI_3):
+        for n in range(1, 201):
+            if flags[n]:
+                E = build_curve(n, theta)
+                assert search_points(E, 80, 20) == _oracle_search(E, 80, 20), (n, theta.name)
+
+
+def test_search_points_matches_oracle_on_records():
+    # coefficients near 1e23 must be reduced before they enter int64
+    # arithmetic; each bound pair reaches one torsor point of the record
+    for n, torsor_bound in ((11229594411, 100), (365803464586, 80)):
+        E = build_curve(n, PI_3)
+        pts = search_points(E, 40, torsor_bound)
+        assert len(pts) == 1 and pts == _oracle_search(E, 40, torsor_bound), n
+
+
+def test_has_small_nontorsion_point_matches_oracle():
+    flags = squarefree_flags(150)
+    for theta in (PI_3, TWO_PI_3):
+        for n in range(1, 151):
+            if flags[n]:
+                E = build_curve(n, theta)
+                expected = any(not is_torsion(P, E) for P in _oracle_x_points(E, 400, 20))
+                assert has_small_nontorsion_point(E, 400) == expected, (n, theta.name)
 
 
 def test_has_small_nontorsion_point_consistency():

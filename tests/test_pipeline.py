@@ -226,3 +226,12 @@ def test_cli_config_file(tmp_path, capsys):
     for flag in (["--torsor-bound=9"], ["--torsor-bound", "9"]):
         assert cli_main(["--config", str(cfg), "analyze", "1", *flag]) == 0
         assert "(bound 20/9)" in capsys.readouterr().out
+
+    # a key of another subcommand is skipped; a key that names no flag is an error
+    cfg.write_text("pmax = 5\ntorsor_bound = 7\n")
+    assert cli_main(["--config", str(cfg), "analyze", "1"]) == 0
+    assert "(bound 1000/7)" in capsys.readouterr().out
+    cfg.write_text("torsor-bnd = 7\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--config", str(cfg), "analyze", "1"])
+    assert exc.value.code == 2 and "'torsor-bnd'" in capsys.readouterr().err

@@ -39,3 +39,40 @@ def test_no_unused_top_level_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(name for name in imported if name not in used | REEXPORTS.get(path.name, set()))
     assert not unused, f"{path.name} has unused imports {unused}"
+
+
+def _private_definitions(tree):
+    """Module-level private functions, classes and constants, with the
+    top-level statement that defines each."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_no_unreferenced_private_names():
+    # a private name counts as used only when some other top-level statement
+    # of the package reads it, so a self-recursive leftover is still caught
+    trees = {path.name: _tree(path) for path in MODULES}
+    readers: dict[str, list] = {}
+    for tree in trees.values():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    readers.setdefault(node.id, []).append(stmt)
+                elif isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, []).append(stmt)
+    dead = sorted(
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name, definition in _private_definitions(tree)
+        if all(stmt is definition for stmt in readers.get(name, []))
+    )
+    assert not dead, f"private names nothing in the package uses: {dead}"
