@@ -194,7 +194,8 @@ def two_torsion(E: CurveQ) -> list[PointQ]:
 
 
 def has_good_reduction(E: CurveQ, p: int) -> bool:
-    return E.disc % p != 0
+    """For a prime p; E.bad_primes is the support of E.disc."""
+    return p not in E.bad_primes
 
 
 def point_to_strings(P: PointQ) -> list[str]:

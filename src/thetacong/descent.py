@@ -65,14 +65,18 @@ def class_mul(d1: int, d2: int) -> int:
 
 @dataclass(frozen=True)
 class IsogenyPair:
-    """E: y^2 = x(x^2 + ax + b) and its 2-isogenous partner (-2a, a^2 - 4b)."""
+    """E: y^2 = x(x^2 + ax + b) and its 2-isogenous partner (-2a, a^2 - 4b),
+    with their bad places, ascending: 2 and every prime of b and of a^2 - 4b.
+    The descent reads its primes from places and never factors b or a^2 - 4b."""
 
     a: int
     b: int
+    places: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.b == 0 or self.a * self.a - 4 * self.b == 0:
             raise ValueError("degenerate curve")
+        _support(2 * self.b * self.b_dual, self.places)
 
     @property
     def a_dual(self) -> int:
@@ -88,7 +92,21 @@ class IsogenyPair:
 
     @staticmethod
     def from_curve(E: CurveQ) -> "IsogenyPair":
-        return IsogenyPair(E.a2, E.a4)
+        return IsogenyPair(E.a2, E.a4, tuple(sorted(E.bad_primes)))
+
+
+def _support(m: int, places) -> list[int]:
+    """The places that divide m; raises ValueError unless they are all of
+    its primes (dividing them out leaves +-1)."""
+    primes = []
+    for p in places:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+    if abs(m) != 1:
+        raise ValueError(f"the places {tuple(places)} miss a prime factor of {m}")
+    return primes
 
 
 @dataclass(frozen=True)
@@ -414,27 +432,14 @@ def _shift_scale(g: list[int], r: int, p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Selmer sets
 
-def _signed_squarefree_divisors(b: int) -> list[int]:
-    primes = factorize(b).primes()
+def _signed_squarefree_divisors(b: int, places) -> list[int]:
     divs = [1]
-    for p in primes:
+    for p in _support(b, places):
         divs += [d * p for d in divs]
-    out = []
-    for d in divs:
-        out.append(d)
-        out.append(-d)
-    out.sort(key=lambda d: (abs(d), d < 0))
-    return out
+    return sorted((s * d for d in divs for s in (1, -1)), key=lambda d: (abs(d), d < 0))
 
 
-def _bad_places(a: int, b: int) -> list[int]:
-    support = {2}
-    support.update(factorize(b).primes())
-    support.update(factorize(a * a - 4 * b).primes())
-    return sorted(support)
-
-
-def _local_verdicts(T: Torsor, places: list[int]) -> list[tuple[str | int, bool]]:
+def _local_verdicts(T: Torsor, places: tuple[int, ...]) -> list[tuple[str | int, bool]]:
     """(place, solvable) at R and then at each place in turn, up to the first
     failure; T is everywhere locally solvable iff the last verdict is."""
     verdicts = []
@@ -450,21 +455,20 @@ def torsor_verdicts(pair: IsogenyPair, dual: bool = False) -> list[tuple[int, li
     """Every torsor of one isogeny direction, as (d, local verdicts) for each
     signed squarefree d | b, decided as selmer_set decides them."""
     a, b = pair.side(dual)
-    places = _bad_places(pair.a, pair.b)
-    return [(d, _local_verdicts(Torsor.build(d, a, b), places)) for d in _signed_squarefree_divisors(b)]
+    return [(d, _local_verdicts(Torsor.build(d, a, b), pair.places))
+            for d in _signed_squarefree_divisors(b, pair.places)]
 
 
-def selmer_set(a: int, b: int, places: list[int] | None = None) -> frozenset[int]:
-    """All squarefree d | b whose torsor is solvable at R and all bad places.
+def selmer_set(a: int, b: int, places: tuple[int, ...]) -> frozenset[int]:
+    """All squarefree d | b whose torsor is solvable at R and at every place.
 
-    Uses the subgroup structure of the answer to skip cosets that are
-    already decided.
+    places must hold 2 and every prime of b and of a^2 - 4b (as
+    IsogenyPair.places does).  Uses the subgroup structure of the answer to
+    skip cosets that are already decided.
     """
-    if places is None:
-        places = _bad_places(a, b)
     members = {1}
     nonmembers: set[int] = set()
-    for d in _signed_squarefree_divisors(b):
+    for d in _signed_squarefree_divisors(b, places):
         if d in members or d in nonmembers:
             continue
         if any(class_mul(d, s) in nonmembers for s in members):
@@ -480,23 +484,21 @@ def selmer_set(a: int, b: int, places: list[int] | None = None) -> frozenset[int
 def phi_selmer(pair: IsogenyPair, dual: bool = False) -> frozenset[int]:
     """S^phi (dual=False: torsors of (a, b), bounding E(Q)/phi-hat E'(Q));
     dual=True uses (a_dual, b_dual)."""
-    return selmer_set(*pair.side(dual), _bad_places(pair.a, pair.b))
+    return selmer_set(*pair.side(dual), pair.places)
 
 
-def selmer_rank(E: CurveQ) -> int:
-    """log2(|S^phi| * |S^phi-hat|) - 2; an upper bound for the rank.
-
-    Both isogeny directions have the same bad places, found once here.
-    """
-    pair = IsogenyPair.from_curve(E)
-    places = _bad_places(pair.a, pair.b)
-    s1 = selmer_set(pair.a, pair.b, places)
-    s2 = selmer_set(pair.a_dual, pair.b_dual, places)
+def _rank_from_sets(s1: frozenset[int], s2: frozenset[int]) -> int:
     prod = len(s1) * len(s2)
     k = prod.bit_length() - 1
     if 1 << k != prod or k < 2:
         raise AssertionError(f"Selmer sizes not a valid power of two: {len(s1)}x{len(s2)}")
     return k - 2
+
+
+def selmer_rank(E: CurveQ) -> int:
+    """log2(|S^phi| * |S^phi-hat|) - 2; an upper bound for the rank."""
+    pair = IsogenyPair.from_curve(E)
+    return _rank_from_sets(phi_selmer(pair), phi_selmer(pair, dual=True))
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +544,16 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def _triples_to_rows(triples: list[tuple[int, int, int]]) -> list[int]:
-    primes = sorted({p for t in triples for cl in t for p, _ in factorize(cl).factors if cl not in (1, -1)})
-    idx = {p: i + 1 for i, p in enumerate(primes)}  # bit 0 is the sign
-    width = len(primes) + 1
+def _triples_to_rows(triples: list[tuple[int, int, int]], primes: list[int]) -> list[int]:
+    """F2 rows of the class triples: a sign bit and one bit per prime, for
+    each of the three classes; raises ValueError on a class with a prime
+    outside primes."""
+    width = len(primes) + 1  # bit 0 is the sign
 
     def class_bits(cl: int) -> int:
         bits = 1 if cl < 0 else 0
-        for p, _ in factorize(cl).factors:
-            bits |= 1 << idx[p]
+        for p in _support(cl, primes):
+            bits |= 1 << (primes.index(p) + 1)
         return bits
 
     rows = []
@@ -572,7 +575,8 @@ def rank_lower_bound(points: list[PointQ], E: CurveQ) -> int:
     torsion_pts = [PointQ.affine(e, 0) for e in E.two_torsion_x]
     torsion_imgs = [descent_image(T, E) for T in torsion_pts]
     point_imgs = [descent_image(P, E) for P in finite]
-    rows = _triples_to_rows(torsion_imgs + point_imgs)
+    # a point of E has its classes supported on the bad primes
+    rows = _triples_to_rows(torsion_imgs + point_imgs, sorted(E.bad_primes))
     full_rank = _gf2_rank(rows)
     # The torsion subgroup T always contributes exactly 2 dimensions to
     # E(Q)/2E(Q): T contains the full 2-torsion, so T/2T = T[2] = (Z/2)^2,
@@ -626,7 +630,6 @@ def _torsor_sweep(E: CurveQ, bound: int):
     the Selmer torsors of both directions (dual hits are pulled back)."""
     M = _SIEVE_MOD
     pair = IsogenyPair.from_curve(E)
-    places = _bad_places(pair.a, pair.b)
     us = np.arange(1, bound + 1, dtype=np.int64)
     U, V = np.repeat(us, bound), np.tile(us, bound)
     coprime = np.gcd(U, V) == 1
@@ -635,7 +638,7 @@ def _torsor_sweep(E: CurveQ, bound: int):
     u4, uv, v4 = u2 * u2 % M, u2 * v2 % M, v2 * v2 % M
     for dual in (False, True):
         a, b = pair.side(dual)
-        for d in selmer_set(a, b, places):
+        for d in phi_selmer(pair, dual):
             c = b // d
             cand = _maybe_square((d % M * u4 + a % M * uv + c % M * v4) % M)
             for i in np.flatnonzero(cand).tolist():
@@ -696,7 +699,6 @@ def full_descent(E: CurveQ, height_bound: int = 1000, torsor_bound: int | None =
     bound certified by the found points."""
     pair = IsogenyPair.from_curve(E)
     s1, s2 = phi_selmer(pair), phi_selmer(pair, dual=True)
-    srank = selmer_rank(E)
     pts = search_points(E, height_bound, torsor_bound)
     lb = rank_lower_bound(pts, E) if pts else 0
-    return DescentReport(s1, s2, srank, lb, pts)
+    return DescentReport(s1, s2, _rank_from_sets(s1, s2), lb, pts)

@@ -30,38 +30,42 @@ class SieveConfig:
             raise ValueError("stage bounds must be strictly increasing")
 
 
+def _local_counts(E: CurveQ, lo: int, N: int):
+    """count_points(E, p) for the good odd primes lo <= p < N, increasing."""
+    for p in primes_below(N):
+        if p >= lo and p != 2 and has_good_reduction(E, p):
+            yield count_points(E, p)
+
+
+def _stage_sums(E: CurveQ, bounds):
+    """S(N, E) for each of the increasing bounds N, lazily, from one running
+    sum; S(N, E) is the same float whichever bounds lead up to N."""
+    total = 0.0
+    lo = 0
+    for N in bounds:
+        for lc in _local_counts(E, lo, N):
+            total += (2 - lc.ap) / lc.Np * math.log(lc.p)
+        lo = N
+        yield total
+
+
 def nagao_sum(E: CurveQ, N: int) -> float:
     """S(N, E) over good-reduction primes p < N."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    total = 0.0
-    for p in primes_below(N):
-        if p == 2 or not has_good_reduction(E, p):
-            continue
-        lc = count_points(E, p)
-        total += (2 - lc.ap) / lc.Np * math.log(p)
-    return total
+    return next(_stage_sums(E, (N,)))
 
 
 def passes_filter(E: CurveQ, cfg: SieveConfig = SieveConfig()) -> tuple[bool, dict[int, float]]:
     """Evaluate stages lazily in increasing N; stop at the first failure.
 
-    Returns (passed, {N: S(N,E) for each evaluated stage}).  Prime counts
-    from earlier stages are reused, so the full pass costs one sweep to the
-    largest bound.
+    Returns (passed, {N: S(N,E) for each evaluated stage}).  Each stage
+    continues the previous stage's sum, so the full pass costs one sweep to
+    the largest bound.
     """
     values: dict[int, float] = {}
-    total = 0.0
-    prev = 0
-    for N, threshold in cfg.stages:
-        for p in primes_below(N):
-            if p <= prev:
-                continue
-            if p == 2 or not has_good_reduction(E, p):
-                continue
-            lc = count_points(E, p)
-            total += (2 - lc.ap) / lc.Np * math.log(p)
-        prev = N - 1
+    sums = _stage_sums(E, [N for N, _ in cfg.stages])
+    for (N, threshold), total in zip(cfg.stages, sums):
         values[N] = total
         if not total > threshold:
             return False, values
@@ -71,9 +75,6 @@ def passes_filter(E: CurveQ, cfg: SieveConfig = SieveConfig()) -> tuple[bool, di
 def nagao_sum_form1(E: CurveQ, N: int) -> float:
     """The (1 - (p-1)/N_p) log p form; agrees with nagao_sum analytically."""
     total = 0.0
-    for p in primes_below(N):
-        if p == 2 or not has_good_reduction(E, p):
-            continue
-        lc = count_points(E, p)
-        total += (1 - (p - 1) / lc.Np) * math.log(p)
+    for lc in _local_counts(E, 0, N):
+        total += (1 - (lc.p - 1) / lc.Np) * math.log(lc.p)
     return total

@@ -1,8 +1,8 @@
 """Point counts N_p and Frobenius traces a_p over F_p via quadratic characters.
 
 N_p = 1 + sum_x (1 + chi_p(x^3 + a2 x^2 + a4 x)) with chi_p(0) = 0, so
-a_p = -sum_x chi_p(f(x)).  The table-driven numpy path handles the sieve's
-p < 1e5 range quickly; a plain-Python path backs very small p.
+a_p = -sum_x chi_p(f(x)).  One numpy path computes the sum for every p
+from a table of chi_p, in O(p) time.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import legendre
 from .curves import CurveQ, has_good_reduction
 
 
@@ -29,42 +28,29 @@ def count_points(E: CurveQ, p: int) -> LocalCount:
     """
     if p == 2 or not has_good_reduction(E, p):
         raise ValueError(f"p = {p} is not an odd good-reduction prime for {E.label()}")
-    if p < 64:
-        s = _char_sum_small(E.a2 % p, E.a4 % p, p)
-    else:
-        s = _char_sum_table(E.a2 % p, E.a4 % p, p)
+    s = _char_sum(E.a2 % p, E.a4 % p, p)
     Np = p + 1 + s
     return LocalCount(p, Np, -s)
 
 
-def _char_sum_small(a2: int, a4: int, p: int) -> int:
+# x runs in blocks so that every int64 temporary stays at 64 KiB.  Arrays
+# of p int64 values (p near 1e5) would be mapped afresh on every call, and
+# faulting in their pages costs more than the arithmetic on them.
+_BLOCK = 8192
+
+
+def _char_sum(a2: int, a4: int, p: int) -> int:
+    """sum over x in F_p of chi_p(x^3 + a2 x^2 + a4 x), from a table of chi_p."""
+    chi = np.full(p, -1, dtype=np.int8)
+    for lo in range(0, p, _BLOCK):
+        x = np.arange(lo, min(lo + _BLOCK, p), dtype=np.int64)
+        chi[x * x % p] = 1
+    chi[0] = 0
     total = 0
-    for x in range(p):
-        total += legendre(x * ((x * x + a2 * x + a4) % p), p)
+    for lo in range(0, p, _BLOCK):
+        x = np.arange(lo, min(lo + _BLOCK, p), dtype=np.int64)
+        total += int(chi[(x * x + a2 * x + a4) % p * x % p].sum(dtype=np.int64))
     return total
-
-
-_chi_cache: dict[int, np.ndarray] = {}
-
-
-def _chi_table(p: int) -> np.ndarray:
-    chi = _chi_cache.get(p)
-    if chi is None:
-        chi = np.full(p, -1, dtype=np.int8)
-        sq = np.arange(p, dtype=np.int64)
-        chi[(sq * sq) % p] = 1
-        chi[0] = 0
-        if len(_chi_cache) > 64:
-            _chi_cache.clear()
-        _chi_cache[p] = chi
-    return chi
-
-
-def _char_sum_table(a2: int, a4: int, p: int) -> int:
-    chi = _chi_table(p)
-    x = np.arange(p, dtype=np.int64)
-    f = (x * ((x * x + a2 * x + a4) % p)) % p
-    return int(chi[f].sum(dtype=np.int64))
 
 
 def hasse_bound_ok(lc: LocalCount) -> bool:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from thetacong.arith import factorize
+from thetacong.arith import factorize, primes_below
 from thetacong.curves import (
     INFINITY,
     PI_3,
@@ -24,6 +24,7 @@ from thetacong.curves import (
     theta_from_name,
     two_torsion,
 )
+from thetacong.dataset import PUBLISHED
 
 
 def test_theta_params_validation():
@@ -183,6 +184,11 @@ def test_has_good_reduction():
     for n in (1, 6, 221):
         for theta in (PI_3, TWO_PI_3):
             assert not has_good_reduction(build_curve(n, theta), 2)
+    # bad_primes is the support of the discriminant
+    for entry in PUBLISHED:
+        E = build_curve(entry.n, entry.theta)
+        for p in primes_below(1000):
+            assert has_good_reduction(E, p) == (E.disc % p != 0), (entry.n, p)
 
 
 def test_point_serialization_roundtrip():

@@ -21,6 +21,7 @@ from thetacong.curves import (
     is_torsion,
     scalar_mul,
 )
+from thetacong.dataset import find_published
 from thetacong.descent import (
     REAL_PLACE,
     IsogenyPair,
@@ -37,6 +38,7 @@ from thetacong.descent import (
     selmer_set,
     square_class,
     square_class_int,
+    torsor_verdicts,
 )
 
 # ---------------------------------------------------------------------------
@@ -234,7 +236,7 @@ def test_local_solvability_oracle_on_family_torsors():
     for n in (6, 646):
         E = build_curve(n, PI_3)
         pair = IsogenyPair.from_curve(E)
-        for d in D._signed_squarefree_divisors(pair.b):
+        for d in D._signed_squarefree_divisors(pair.b, pair.places):
             T = Torsor.build(d, pair.a, pair.b)
             for p in sorted(E.bad_primes):
                 expected = _oracle_solvable(T, p)
@@ -351,9 +353,9 @@ def test_selmer_order_product_e221():
 def test_selmer_set_brute_reference():
     # re-derive one small Selmer set without the coset pruning
     pair = IsogenyPair.from_curve(build_curve(39, PI_3))
-    places = D._bad_places(pair.a, pair.b)
+    places = pair.places
     brute = set()
-    for d in D._signed_squarefree_divisors(pair.b):
+    for d in D._signed_squarefree_divisors(pair.b, places):
         T = Torsor.build(d, pair.a, pair.b)
         if locally_solvable(T, REAL_PLACE) and all(locally_solvable(T, p) for p in places):
             brute.add(d)
@@ -543,6 +545,29 @@ def test_has_small_nontorsion_point_consistency():
     for n, theta, expected in ((6, PI_3, True), (5, TWO_PI_3, True), (1, PI_3, False), (2, PI_3, False)):
         E = build_curve(n, theta)
         assert has_small_nontorsion_point(E, 1000) == expected
+
+
+def test_descent_reads_places_without_factoring(monkeypatch):
+    # Selmer sets, torsor verdicts, the torsor sweep and the rank bound take
+    # their primes from the curve; only build_curve factors
+    curves = [build_curve(n, theta) for n, theta in ((6, PI_3), (646, PI_3), (221, TWO_PI_3), (365803464586, PI_3))]
+
+    def refuse(m):
+        raise AssertionError(f"descent factored {m}")
+
+    monkeypatch.setattr(D, "factorize", refuse)
+    for E in curves:
+        pair = IsogenyPair.from_curve(E)
+        assert selmer_rank(E) >= 0
+        for dual in (False, True):
+            assert phi_selmer(pair, dual)
+            assert torsor_verdicts(pair, dual)
+        pts = search_points(E, 200, 40)
+        entry = find_published(E.n, E.theta)
+        gens = entry.generator_points() if entry else []
+        assert rank_lower_bound(pts + gens, E) >= len(gens)
+        with pytest.raises(ValueError, match="miss a prime"):
+            IsogenyPair(pair.a, pair.b, pair.places[:-1])
 
 
 def test_full_descent_report_invariants():
