@@ -29,14 +29,30 @@ def _parse_stages(text: str) -> SieveConfig:
     return SieveConfig(tuple(stages))
 
 
-def _load_config(path: str) -> dict[str, str]:
+# --theta and --range keep their text, from which the checkpoint key is
+# built. argparse turns a ValueError from these into a usage error such as
+# "argument --range: invalid lo_hi_integers value: '5'".
+def theta_name(text: str) -> str:
+    theta_from_name(text)
+    return text
+
+
+def lo_hi_integers(text: str) -> str:
+    lo, _, hi = text.partition(":")
+    int(lo), int(hi)
+    return text
+
+
+def _load_config(ap: argparse.ArgumentParser, path: str) -> dict[str, str]:
     out = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
+            key, sep, value = line.partition("=")
+            if not sep:
+                ap.error(f"config file {path}: line {line!r} is not key=value")
             out[key.strip()] = value.strip()
     return out
 
@@ -46,39 +62,39 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     ap.add_argument("--config", help="key=value config file; flags override it")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--theta", default="pi/3", help="pi/3 or 2pi/3")
+    sweep = sub.add_parser("sweep", help="Step I: Selmer sweep over squarefree n in a range")
+    sweep.add_argument("--range", type=lo_hi_integers, required=True, help="lo:hi inclusive, e.g. 1:100000")
+    sweep.add_argument("--report-selmer-min", type=int, default=3)
+
+    hunt = sub.add_parser("hunt", help="Step II: Kan grid + Nagao sieve + Selmer threshold")
+    hunt.add_argument("--pmax", type=int, required=True)
+    hunt.add_argument("--qmax", type=int, required=True)
+    hunt.add_argument("--min-omega", type=int, default=4)
+    hunt.add_argument("--stages", type=_parse_stages, default=SieveConfig(),
+                      help="comma list N:threshold, e.g. 1000:15,10000:20,100000:40")
+    hunt.add_argument("--selmer-min", type=int, default=None,
+                      help="keep curves with selmer rank strictly above this (default per theta)")
+
+    table1 = sub.add_parser("table1", help="Selmer tally for squarefree n <= bound")
+    table1.add_argument("--bound", type=int, required=True)
+
+    verify = sub.add_parser("verify", help="verify all published curves and generators")
+    verify.add_argument("--quiet", action="store_true")
+
+    analyze = sub.add_parser("analyze", help="deep dive on one curve")
+    analyze.add_argument("n", type=int)
+
+    # the shared flags, each on the subcommands that read it
+    for p in (sweep, hunt, table1, analyze):
+        p.add_argument("--theta", type=theta_name, default="pi/3", help="pi/3 or 2pi/3")
+    for p in (sweep, table1):
         p.add_argument("--workers", type=int, default=1)
+    for p in (sweep, hunt):
         p.add_argument("--out", help="JSONL output path")
         p.add_argument("--checkpoint", action="store_true", help="resume from an existing checkpoint")
+    for p in (sweep, hunt, analyze):
         p.add_argument("--height-bound", type=int, default=1000)
         p.add_argument("--torsor-bound", type=int, default=100)
-
-    p = sub.add_parser("sweep", help="Step I: Selmer sweep over squarefree n in a range")
-    common(p)
-    p.add_argument("--range", required=True, help="lo:hi inclusive, e.g. 1:100000")
-    p.add_argument("--report-selmer-min", type=int, default=3)
-
-    p = sub.add_parser("hunt", help="Step II: Kan grid + Nagao sieve + Selmer threshold")
-    common(p)
-    p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--min-omega", type=int, default=4)
-    p.add_argument("--stages", type=_parse_stages, default=SieveConfig(),
-                   help="comma list N:threshold, e.g. 1000:15,10000:20,100000:40")
-    p.add_argument("--selmer-min", type=int, default=None,
-                   help="keep curves with selmer rank strictly above this (default per theta)")
-
-    p = sub.add_parser("table1", help="Selmer tally for squarefree n <= bound")
-    common(p)
-    p.add_argument("--bound", type=int, required=True)
-
-    p = sub.add_parser("verify", help="verify all published curves and generators")
-    p.add_argument("--quiet", action="store_true")
-
-    p = sub.add_parser("analyze", help="deep dive on one curve")
-    common(p)
-    p.add_argument("n", type=int)
     return ap, sub
 
 
@@ -97,7 +113,7 @@ def main(argv=None) -> int:
         # when it names no flag of any of them.
         parser = sub.choices[args.command]
         known = {a.dest for p in (ap, *sub.choices.values()) for a in p._actions}
-        for raw_key, value in _load_config(args.config).items():
+        for raw_key, value in _load_config(ap, args.config).items():
             key = raw_key.replace("-", "_")
             if key not in known:
                 ap.error(f"config file {args.config}: {raw_key!r} names no flag")
@@ -125,8 +141,12 @@ def main(argv=None) -> int:
         print(run_analyze(args.n, theta, args.height_bound, args.torsor_bound))
         return 0
 
+    if args.command == "table1":
+        _print_tally(run_table1(args.bound, theta, workers=args.workers))
+        return 0
+
     writer = None
-    if getattr(args, "out", None):
+    if args.out:
         key = repr(sorted((k, str(v)) for k, v in vars(args).items() if k not in ("checkpoint", "workers")))
         writer = CheckpointedWriter(args.out, key, resume=args.checkpoint)
 
@@ -142,9 +162,7 @@ def main(argv=None) -> int:
                 writer=writer,
             )
             _print_tally(selmer_tally(recs))
-        elif args.command == "table1":
-            _print_tally(run_table1(args.bound, theta, workers=args.workers))
-        elif args.command == "hunt":
+        else:
             count = 0
             for rec in run_hunt(
                 args.pmax, args.qmax, theta,

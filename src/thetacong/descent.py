@@ -700,5 +700,5 @@ def full_descent(E: CurveQ, height_bound: int = 1000, torsor_bound: int | None =
     pair = IsogenyPair.from_curve(E)
     s1, s2 = phi_selmer(pair), phi_selmer(pair, dual=True)
     pts = search_points(E, height_bound, torsor_bound)
-    lb = rank_lower_bound(pts, E) if pts else 0
+    lb = rank_lower_bound(pts, E)
     return DescentReport(s1, s2, _rank_from_sets(s1, s2), lb, pts)

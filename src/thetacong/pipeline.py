@@ -14,6 +14,7 @@ import json
 import multiprocessing
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import dataset
 # factorize is re-exported: perfbench/selftest.py checks that the tracer
@@ -100,7 +101,7 @@ class CheckpointedWriter:
         return self.last_n is not None and n <= self.last_n
 
     def write(self, rec: CandidateRecord) -> None:
-        if self.last_n is not None and rec.n <= self.last_n:
+        if self.skip(rec.n):
             raise ValueError("records must arrive in strictly increasing n order")
         self.fh.write((record_to_json(rec) + "\n").encode())
         self.last_n = rec.n
@@ -121,32 +122,28 @@ class CheckpointedWriter:
         self.fh.close()
 
 
+def _emit(records, writer: CheckpointedWriter | None, progress):
+    """Persist, report and yield each record in turn."""
+    for rec in records:
+        if writer is not None:
+            writer.write(rec)
+        if progress is not None:
+            progress(rec)
+        yield rec
+
+
 # ---------------------------------------------------------------------------
 # Step I: sweep over squarefree n
 
-_worker_state: dict = {}
-
-
-def _sweep_init(theta_name, report_selmer_min, height_bound, torsor_bound):
-    _worker_state["theta"] = theta_from_name(theta_name)
-    _worker_state["report_selmer_min"] = report_selmer_min
-    _worker_state["height_bound"] = height_bound
-    _worker_state["torsor_bound"] = torsor_bound
-
-
-def _sweep_one(task):
+def _sweep_one(task, theta, report_selmer_min, height_bound, torsor_bound):
     n, primes = task
-    theta = _worker_state["theta"]
     nf = Factorization(1, tuple((p, 1) for p in primes))
     E = build_curve(n, theta, n_factors=nf)
     s = selmer_rank(E)
     rec = CandidateRecord(n=n, theta=theta, omega_odd=sum(1 for p in primes if p != 2), selmer=s)
-    if s >= _worker_state["report_selmer_min"]:
-        pts = search_points(E, _worker_state["height_bound"], _worker_state["torsor_bound"])
-        rec.points = pts
-        rec.rank_lb = rank_lower_bound(pts, E) if pts else 0
-    else:
-        rec.rank_lb = None
+    if s >= report_selmer_min:
+        rec.points = search_points(E, height_bound, torsor_bound)
+        rec.rank_lb = rank_lower_bound(rec.points, E)
     return rec
 
 
@@ -176,42 +173,27 @@ def run_sweep(
     writer: CheckpointedWriter | None = None,
     progress=None,
 ):
-    """Selmer-rank sweep over squarefree n in [lo, hi]; yields records in
-    n-order and returns via StopIteration-value nothing (tally separately).
-
-    Rows reaching report_selmer_min also get a bounded point search and a
-    rank lower bound.
-    """
+    """Generator of Selmer-rank records for the squarefree n in [lo, hi], in
+    increasing n, each written to ``writer`` and passed to ``progress``
+    before it is yielded; n that a resumed writer holds are skipped. Rows
+    with selmer >= report_selmer_min also get a point search and a rank
+    lower bound. workers > 1 computes the curves in a process pool."""
     tasks = (t for t in _squarefree_tasks(lo, hi) if writer is None or not writer.skip(t[0]))
-    args = (theta.name, report_selmer_min, height_bound, torsor_bound)
+    one = partial(_sweep_one, theta=theta, report_selmer_min=report_selmer_min,
+                  height_bound=height_bound, torsor_bound=torsor_bound)
     if workers > 1:
-        with multiprocessing.Pool(workers, initializer=_sweep_init, initargs=args) as pool:
-            for rec in pool.imap(_sweep_one, tasks, chunksize=64):
-                if writer is not None:
-                    writer.write(rec)
-                if progress is not None:
-                    progress(rec)
-                yield rec
+        with multiprocessing.Pool(workers) as pool:
+            yield from _emit(pool.imap(one, tasks, chunksize=64), writer, progress)
     else:
-        _sweep_init(*args)
-        for task in tasks:
-            rec = _sweep_one(task)
-            if writer is not None:
-                writer.write(rec)
-            if progress is not None:
-                progress(rec)
-            yield rec
+        yield from _emit(map(one, tasks), writer, progress)
 
 
 def selmer_tally(records) -> dict:
     """Survey tally: counts for s = 0..5, s >= 6, and the total."""
     cells = [0] * 7
-    total = 0
     for rec in records:
-        s = min(rec.selmer, 6)
-        cells[s] += 1
-        total += 1
-    return {"cells": tuple(cells[:6]) + (cells[6],), "total": total}
+        cells[min(rec.selmer, 6)] += 1
+    return {"cells": tuple(cells), "total": sum(cells)}
 
 
 def run_table1(hi: int, theta: ThetaParams, workers: int = 1, progress=None) -> dict:
@@ -241,24 +223,22 @@ def run_hunt(
     point search; survivors are yielded (and persisted) in n-order."""
     if selmer_min is None:
         selmer_min = DEFAULT_SELMER_MIN.get(theta.name, 4)
-    for rec in generate_candidates(pmax, qmax, theta, min_omega, pmin=pmin, qmin=qmin):
-        if writer is not None and writer.skip(rec.n):
-            continue
-        E = build_curve(rec.n, theta)
-        ok, values = passes_filter(E, sieve)
-        rec.nagao_values = values
-        if not ok:
-            continue
-        rec.selmer = selmer_rank(E)
-        if not rec.selmer > selmer_min:
-            continue
-        rec.points = search_points(E, height_bound, torsor_bound)
-        rec.rank_lb = rank_lower_bound(rec.points, E) if rec.points else 0
-        if writer is not None:
-            writer.write(rec)
-        if progress is not None:
-            progress(rec)
-        yield rec
+
+    def survivors():
+        for rec in generate_candidates(pmax, qmax, theta, min_omega, pmin=pmin, qmin=qmin):
+            if writer is not None and writer.skip(rec.n):
+                continue
+            E = build_curve(rec.n, theta)
+            ok, rec.nagao_values = passes_filter(E, sieve)
+            if not ok:
+                continue
+            rec.selmer = selmer_rank(E)
+            if rec.selmer > selmer_min:
+                rec.points = search_points(E, height_bound, torsor_bound)
+                rec.rank_lb = rank_lower_bound(rec.points, E)
+                yield rec
+
+    yield from _emit(survivors(), writer, progress)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +298,7 @@ def run_verify(include_selmer: bool = True, include_small_anchors: bool = True) 
             E = build_curve(n, theta)
             s = selmer_rank(E)
             pts = search_points(E, 400, 60)
-            lb = rank_lower_bound(pts, E) if pts else 0
+            lb = rank_lower_bound(pts, E)
             report.add(name, "rank-pinned", lb == rank and s == rank, f"lb={lb} selmer={s} published={rank}")
         for n, theta, selmer in dataset.EXTRA_SELMER:
             name = f"{theta.name} n={n}"

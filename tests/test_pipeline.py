@@ -113,6 +113,32 @@ def test_checkpoint_config_mismatch_restarts(tmp_path):
     w2.close()
 
 
+def test_parallel_sweep_matches_serial(tmp_path):
+    # two worker processes, several imap chunks of 64, and point searches
+    # on the rows with selmer >= 2
+    out = {}
+    for workers in (1, 2):
+        path = tmp_path / f"w{workers}.jsonl"
+        w = CheckpointedWriter(str(path), "parallel-test", interval=16)
+        recs = list(run_sweep(1, 400, TWO_PI_3, report_selmer_min=2, height_bound=100,
+                              torsor_bound=20, workers=workers, writer=w))
+        w.close()
+        out[workers] = recs, path.read_bytes()
+    assert out[2][0] == out[1][0]
+    assert out[2][1] == out[1][1]
+    assert any(rec.points for rec in out[1][0])
+
+
+def test_interleaved_sweeps_keep_their_settings():
+    # each sweep carries its own settings, so two sweeps drawn in turn
+    # give what each gives alone
+    alone = [list(run_sweep(1, 60, theta, report_selmer_min=m, height_bound=80, torsor_bound=20))
+             for theta, m in ((PI_3, 1), (TWO_PI_3, 10**9))]
+    both = zip(*(run_sweep(1, 60, theta, report_selmer_min=m, height_bound=80, torsor_bound=20)
+                 for theta, m in ((PI_3, 1), (TWO_PI_3, 10**9))))
+    assert [list(pair) for pair in both] == [list(pair) for pair in zip(*alone)]
+
+
 def test_hunt_small_grid_emits_n6():
     cfg = SieveConfig(((100, -math.inf),))
     recs = list(
@@ -208,6 +234,34 @@ def test_cli_sweep_with_output(tmp_path, capsys):
     assert os.path.exists(str(out_path) + ".ckpt")
 
 
+def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path, capsys):
+    out_path = tmp_path / "t.jsonl"
+    for argv in (
+        ["table1", "--bound", "50", "--out", str(out_path)],
+        ["hunt", "--pmax", "5", "--qmax", "5", "--workers", "4"],
+        ["analyze", "1", "--out", str(out_path)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out_path.exists()
+    assert not os.path.exists(str(out_path) + ".ckpt")
+
+
+def test_cli_rejects_bad_values(capsys):
+    for argv, flag in (
+        (["analyze", "1", "--theta", "pi/4"], "--theta"),
+        (["sweep", "--range", "5"], "--range"),
+        (["sweep", "--range", "1:x"], "--range"),
+        (["sweep", "--range", "1-5"], "--range"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+
 def test_cli_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("theta = 2pi/3\nheight-bound = 50\n# comment\n")
@@ -235,3 +289,20 @@ def test_cli_config_file(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["--config", str(cfg), "analyze", "1"])
     assert exc.value.code == 2 and "'torsor-bnd'" in capsys.readouterr().err
+
+    # a config value is checked like the flag it sets, and a line with no
+    # '=' is an error that names the line
+    cfg.write_text("theta = pi/4\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--config", str(cfg), "analyze", "1"])
+    assert exc.value.code == 2 and "argument --theta:" in capsys.readouterr().err
+    cfg.write_text("# comment\ntheta\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--config", str(cfg), "analyze", "1"])
+    assert exc.value.code == 2 and "line 'theta' is not key=value" in capsys.readouterr().err
+
+    # a key that only another subcommand reads is skipped, also where this
+    # subcommand no longer takes it
+    cfg.write_text("workers = 2\nout = never.jsonl\ntorsor_bound = 7\n")
+    assert cli_main(["--config", str(cfg), "analyze", "1"]) == 0
+    assert "(bound 1000/7)" in capsys.readouterr().out

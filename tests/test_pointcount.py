@@ -65,7 +65,8 @@ def test_matches_bruteforce_small_primes():
 
 
 def test_matches_bruteforce_medium_primes():
-    # spot checks across the table-driven numpy path (p >= 64)
+    # spot checks of the one numpy character-sum path, _char_sum, at
+    # primes of a few hundred
     for n, theta in ((646, PI_3), (221, TWO_PI_3)):
         E = build_curve(n, theta)
         for p in (151, 251, 397, 499):
@@ -85,8 +86,8 @@ def test_hasse_and_mod4_sweep():
 
 
 def test_small_and_table_paths_agree():
-    # p = 61 uses the plain path, p = 67 the table path; force both through
-    # a prime near the switchover and compare against brute force
+    # primes around 64, where two character-sum paths once met: the one
+    # path that is left must still agree with brute force on both sides
     E = build_curve(39, PI_3)
     for p in (61, 67, 71):
         if has_good_reduction(E, p):
