@@ -19,7 +19,7 @@ _YOSHIDA_RESIDUES = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class CandidateRecord:
     """A searched n with provenance and whatever diagnostics have been filled in."""
 

@@ -44,8 +44,12 @@ def lo_hi_integers(text: str) -> str:
 
 
 def _load_config(ap: argparse.ArgumentParser, path: str) -> dict[str, str]:
+    try:
+        fh = open(path)
+    except OSError as err:
+        ap.error(f"config file {path}: {err.strerror}")
     out = {}
-    with open(path) as fh:
+    with fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -105,24 +109,23 @@ def _print_tally(tally: dict) -> None:
 
 def main(argv=None) -> int:
     ap, sub = _build_parser()
+    pre = argparse.ArgumentParser(prog=ap.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path:
+        # Config values become the defaults of the flags they name in every
+        # subcommand: each keeps its flag's type, a command-line flag wins,
+        # and a required flag may come from the file.
+        actions = [a for p in sub.choices.values() for a in p._actions
+                   if a.option_strings and a.dest != "help"]
+        for raw_key, value in _load_config(ap, path).items():
+            named = [a for a in actions if a.dest == raw_key.replace("-", "_")]
+            if not named:
+                ap.error(f"config file {path}: {raw_key!r} names no flag")
+            for action in named:
+                action.default = value.lower() in ("1", "true", "yes") if isinstance(action.default, bool) else value
+                action.required = False
     args = ap.parse_args(argv)
-    if args.config:
-        # Config values become the subcommand's defaults, so argparse gives
-        # them each flag's own type and any flag on the command line wins.
-        # One file may serve several subcommands, so a key is an error only
-        # when it names no flag of any of them.
-        parser = sub.choices[args.command]
-        known = {a.dest for p in (ap, *sub.choices.values()) for a in p._actions}
-        for raw_key, value in _load_config(ap, args.config).items():
-            key = raw_key.replace("-", "_")
-            if key not in known:
-                ap.error(f"config file {args.config}: {raw_key!r} names no flag")
-            if key in ("command", "config") or not hasattr(args, key):
-                continue
-            if isinstance(parser.get_default(key), bool):
-                value = value.lower() in ("1", "true", "yes")
-            parser.set_defaults(**{key: value})
-        args = ap.parse_args(argv)
 
     if args.command == "verify":
         report = run_verify()

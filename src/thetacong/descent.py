@@ -2,7 +2,8 @@
 
 Provides square classes in Q*/(Q*)^2 (canonical signed squarefree ints),
 homogeneous spaces w^2 = d u^4 + a u^2 v^2 + (b/d) v^4 with local
-solvability tests, phi-Selmer sets and the Selmer rank
+solvability tests (a sign test at R, and at every prime, 2 included, one
+Hensel recursion over the residues), phi-Selmer sets and the Selmer rank
 log2(|S^phi| |S^phi-hat|) - 2, the complete 2-descent image map (the family
 has full rational 2-torsion), rank lower bounds from rational points, and a
 bounded point search.
@@ -10,6 +11,7 @@ bounded point search.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -158,13 +160,10 @@ def _real_solvable(d: int, a: int, c: int) -> bool:
 
 
 def _qp_solvable(T: Torsor, p: int) -> bool:
-    d, a, c = T.d, T.a, T.c
     depth = 2 * valuation(T.quartic_disc, p) + 3
-    f1 = [c, 0, a, 0, d]  # chart t = u/v
-    f2 = [d, 0, a, 0, c]  # chart t = v/u
-    if p == 2:
-        return _zp_bfs(f1, p, depth + 2) or _zp_bfs(f2, p, depth + 2)
-    return _zp_odd(f1, p, depth) or _zp_odd(f2, p, depth)
+    f1 = [T.c, 0, T.a, 0, T.d]  # chart t = u/v
+    f2 = [T.d, 0, T.a, 0, T.c]  # chart t = v/u
+    return _zp(f1, p, depth) or _zp(f2, p, depth)
 
 
 def _horner(g: list[int], t: int) -> int:
@@ -175,75 +174,30 @@ def _horner(g: list[int], t: int) -> int:
     return acc
 
 
-def _is_padic_square(c: int, p: int) -> bool:
-    """Exact test: is the nonzero integer c a square in Qp."""
-    e = 0
-    while c % p == 0:
-        c //= p
-        e += 1
-    if e & 1:
-        return False
-    if p == 2:
-        return c % 8 == 1
-    return legendre(c, p) == 1
+@functools.cache
+def _unit_squares(m: int) -> frozenset[int]:
+    """The squares of the units mod m; {1} for m = 8."""
+    return frozenset(x * x % m for x in range(1, m) if math.gcd(x, m) == 1)
 
 
-def _zp_bfs(g: list[int], p: int, maxj: int) -> bool:
-    """Does w^2 = g(t) have t in Zp, w in Qp?  Residue-tree search.
+def _zp(g: list[int], p: int, depth: int) -> bool:
+    """Does w^2 = g(t) have t in Zp, w in Qp?
 
-    Nodes are classes t = r (mod p^j); values are exact integers so squares
-    are recognized exactly, and a class is pruned once its valuation and unit
-    part (mod p for odd p, mod 8 for p = 2) are pinned down.  The class
-    around a simple root in Zp is never pinned down, so reaching j = maxj is
-    routine when the answer is yes (a neighbouring class finds the square);
-    a search that reached it and found nothing raises RuntimeError instead
-    of answering no.
+    A unit is a square in Qp iff it is one mod m (m = p for odd p; m = 8 for
+    p = 2, where the unit squares are 1 mod 8), and g(t) mod m depends on t
+    mod m only.  After the p^2 content is stripped, a unit square value mod m
+    answers yes, and so does a simple root of g (or of g/p when p divides
+    every coefficient; unit values then have odd valuation) mod p, by Hensel.
+    A multiple root r mod p recurses on g(r + p s).  At level j it holds two
+    roots of g closer than p^-j, so 2j < v(disc g): a class around a simple
+    root has a unit derivative at most one level after its content is
+    stripped, and squarefree g needs at most v(disc)/2 + 1 of the
+    2 v(disc) + 3 levels that _qp_solvable allows, at p = 2 as at odd p.
+    A branch out of depth raises RuntimeError once no other root has found
+    a point.
     """
-    capped = False
-    stack = [(i, 1) for i in range(p)]
-    while stack:
-        r, j = stack.pop()
-        c = _horner(g, r)
-        if c == 0:
-            return True
-        if _is_padic_square(c, p):
-            return True
-        e = valuation(c, p)
-        if p == 2:
-            determined = e < j if e & 1 else j - e >= 3
-        else:
-            determined = e < j
-        if not determined:
-            if j >= maxj:
-                capped = True
-                continue
-            pj = p**j
-            stack.extend((r + i * pj, j + 1) for i in range(p))
-    if capped:
-        raise RuntimeError(f"depth cap reached deciding w^2 = {g} (constant term first) over Z_{p}")
-    return False
-
-
-_qr_cache: dict[int, frozenset[int]] = {}
-
-
-def _qr_set(p: int) -> frozenset[int]:
-    qr = _qr_cache.get(p)
-    if qr is None:
-        qr = frozenset(x * x % p for x in range(1, p))
-        _qr_cache[p] = qr
-    return qr
-
-
-def _zp_odd(g: list[int], p: int, depth: int) -> bool:
-    """Does w^2 = g(t) have t in Zp, w in Qp, for odd p?
-
-    After the p^2 content is stripped, a unit square value of g mod p lifts
-    by Hensel, and so does a simple root of g (or of g/p when p divides every
-    coefficient; then unit values have odd valuation and never help).  Only
-    multiple roots mod p need refinement, at most depth levels deep; running
-    out of depth raises RuntimeError.
-    """
+    if g[0] == 0:
+        return True  # t = 0 is a root
     if depth < 0:
         raise RuntimeError(f"depth cap reached deciding w^2 = {g} (constant term first) over Z_{p}")
     e = valuation(math.gcd(*g), p)
@@ -251,17 +205,18 @@ def _zp_odd(g: list[int], p: int, depth: int) -> bool:
         q = p ** (e & ~1)
         g = [c // q for c in g]
     content = e & 1
-    g0 = [(c // p) % p if content else c % p for c in g]
+    m = 8 if p == 2 and not content else p  # odd content: only roots count
+    g0 = [(c // p) % m if content else c % m for c in g]
     if p < _SYMBOLIC_MIN_P:
         # one residue scan finds the roots and any unit square value
-        squares = () if content else _qr_set(p)
+        squares = () if content else _unit_squares(m)
         roots = []
-        for r in range(p):
-            v = _horner(g0, r) % p
-            if v == 0:
-                roots.append(r)
-            elif v in squares:
+        for t in range(m):
+            v = _horner(g0, t) % m
+            if v in squares:
                 return True
+            if t < p and v % p == 0:
+                roots.append(t)
     else:
         if not content:
             # Weil: unless g0 = const * square, g0 takes unit square values
@@ -270,11 +225,17 @@ def _zp_odd(g: list[int], p: int, depth: int) -> bool:
                 return True
         roots = _roots_mod_p(g0, p)
     dg0 = [i * c for i, c in enumerate(g0)][1:]
+    capped = None
     for r in roots:
         if _horner(dg0, r) % p:
             return True
-        if _zp_odd(_shift_scale(g, r, p), p, depth - 1):
-            return True
+        try:
+            if _zp(_shift_scale(g, r, p), p, depth - 1):
+                return True
+        except RuntimeError as err:
+            capped = err
+    if capped:
+        raise capped
     return False
 
 

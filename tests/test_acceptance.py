@@ -128,6 +128,7 @@ def test_criterion_5_squarefree_census(capsys):
             f"squarefree count to 5e6 = {count} (reference {SQUAREFREE_TOTAL_5E6})")
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_scale_tally(capsys):
     """Selmer tally for squarefree n <= 1e5, both angles: cells partition the
     squarefree count, and no Selmer-0 curve has a non-torsion point of
@@ -149,6 +150,7 @@ def test_criterion_6_desk_scale_tally(capsys):
     _report(capsys, 6, ok, "; ".join(details))
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(
     os.environ.get("THETACONG_FULL_TABLE1") != "1",
     reason="full 5e6 tally is opt-in (set THETACONG_FULL_TABLE1=1; hours of runtime)",
@@ -169,6 +171,7 @@ def test_criterion_6_full_tally_stretch(capsys):
     _report(capsys, "6-stretch", not mism, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_7_nagao_filter(capsys):
     """The record curves pass all three staged thresholds strictly; the
     literal 2pi/3 headline value 4562490669 fails stage one, consistent with

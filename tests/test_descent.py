@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import thetacong.descent as D
-from thetacong.arith import factorize, is_square, squarefree_flags, squarefree_part, valuation
+from thetacong.arith import factorize, is_square, legendre, squarefree_flags, squarefree_part, valuation
 from thetacong.curves import (
     INFINITY,
     PI_3,
@@ -244,6 +244,55 @@ def test_local_solvability_oracle_on_family_torsors():
                     assert locally_solvable(T, p) == expected, (n, d, p)
 
 
+def _is_padic_square(c, p):
+    """Exact test: is the nonzero integer c a square in Qp."""
+    e = 0
+    while c % p == 0:
+        c //= p
+        e += 1
+    if e & 1:
+        return False
+    if p == 2:
+        return c % 8 == 1
+    return legendre(c, p) == 1
+
+
+def _zp_bfs(g, p, maxj):
+    """Does w^2 = g(t) have t in Zp, w in Qp?  Residue-tree search.
+
+    Nodes are classes t = r (mod p^j); values are exact integers so squares
+    are recognized exactly, and a class is pruned once its valuation and unit
+    part (mod p for odd p, mod 8 for p = 2) are pinned down.  The class
+    around a simple root in Zp is never pinned down, so reaching j = maxj is
+    routine when the answer is yes (a neighbouring class finds the square);
+    a search that reached it and found nothing raises RuntimeError instead
+    of answering no.
+    """
+    capped = False
+    stack = [(i, 1) for i in range(p)]
+    while stack:
+        r, j = stack.pop()
+        c = _oracle_eval(g, r)
+        if c == 0:
+            return True
+        if _is_padic_square(c, p):
+            return True
+        e = valuation(c, p)
+        if p == 2:
+            determined = e < j if e & 1 else j - e >= 3
+        else:
+            determined = e < j
+        if not determined:
+            if j >= maxj:
+                capped = True
+                continue
+            pj = p**j
+            stack.extend((r + i * pj, j + 1) for i in range(p))
+    if capped:
+        raise RuntimeError(f"depth cap reached deciding w^2 = {g} (constant term first) over Z_{p}")
+    return False
+
+
 def test_small_odd_route_matches_residue_tree():
     rng = random.Random(4242)
     for p in (3, 5, 7, 13, 31, 97):
@@ -253,7 +302,7 @@ def test_small_odd_route_matches_residue_tree():
                 continue
             # depth 12 exceeds what any of these quartics need, so both
             # routes are complete decision procedures and must agree
-            assert D._zp_odd(g, p, 12) == D._zp_bfs(g, p, 12), (g, p)
+            assert D._zp(g, p, 12) == _zp_bfs(g, p, 12), (g, p)
 
 
 def test_symbolic_route_matches_residue_tree():
@@ -265,12 +314,30 @@ def test_symbolic_route_matches_residue_tree():
                 continue
             if rng.random() < 0.3:
                 g = [c * p for c in g]  # exercise the content-stripping branch
-            assert D._zp_odd(g, p, 12) == D._zp_bfs(g, p, 12), (g, p)
+            assert D._zp(g, p, 12) == _zp_bfs(g, p, 12), (g, p)
     # t^k times a polynomial with nonzero constant term, monomials included
     for g in ([0, 0, 0, 0, 7], [0, 0, -1, 0, 1], [0, 5, 0, 0, 0], [0, 0, 0, 2, 5]):
         p = 103
         assert D._roots_mod_p(g, p) == [r for r in range(p) if D._horner(g, r) % p == 0], g
-        assert D._zp_odd(g, p, 12) == D._zp_bfs(g, p, 12), g
+        assert D._zp(g, p, 12) == _zp_bfs(g, p, 12), g
+
+
+def test_p2_route_matches_residue_tree():
+    rng = random.Random(2024)
+    for _ in range(400):
+        g = [rng.randrange(-60, 61) for _ in range(5)]
+        if all(x == 0 for x in g):
+            continue
+        # 2, 4 and 8 times a quartic run the odd and the stripped content
+        g = [c * rng.choice((1, 1, 2, 4, 8)) for c in g]
+        # the residue tree pins a unit class down three levels later than
+        # _zp's mod 8 scan, so it gets a deeper cap
+        assert D._zp(g, 2, 12) == _zp_bfs(g, 2, 15), g
+    # zero discriminant: t^2 (-114 + 2t - 58t^2) takes no nonzero square
+    # value over Q_2, and its double root at t = 0 never separates, so only
+    # the exact root answers yes
+    g = [0, 0, -114, 2, -58]
+    assert _zp_bfs(g, 2, 12) and D._zp(g, 2, 12)
 
 
 def test_exhausted_depth_cap_raises():
@@ -278,11 +345,32 @@ def test_exhausted_depth_cap_raises():
     # at t = 0, decided one level down (t = 3 gives 36).  Without that level
     # the routes must raise, not answer "not solvable".
     g = [18, 0, 2, 0, 0]
-    assert D._zp_odd(g, 3, 1) and D._zp_bfs(g, 3, 2)
+    assert D._zp(g, 3, 1) and _zp_bfs(g, 3, 2)
     with pytest.raises(RuntimeError, match="depth cap"):
-        D._zp_odd(g, 3, 0)
+        D._zp(g, 3, 0)
     with pytest.raises(RuntimeError, match="depth cap"):
-        D._zp_bfs(g, 3, 1)
+        _zp_bfs(g, 3, 1)
+    # w^2 = (t^2 - 9)(t^2 + 1) at p = 2: no value is 1 mod 8 and t = 1 is a
+    # fourfold root mod 2, decided one level down by the simple root t = 3
+    g = [-9, 0, -8, 0, 1]
+    assert D._zp(g, 2, 1) and _zp_bfs(g, 2, 2)
+    with pytest.raises(RuntimeError, match="depth cap"):
+        D._zp(g, 2, 0)
+    with pytest.raises(RuntimeError, match="depth cap"):
+        _zp_bfs(g, 2, 1)
+
+
+@pytest.mark.parametrize("g, p", [
+    ([18, -15, -7, 3, 1], 3),  # (t + 3)^2 (t - 1)(t - 2)
+    ([20, -4, -15, -2, 1], 2),  # (t + 2)^2 (t - 1)(t - 5)
+])
+def test_capped_branch_does_not_hide_a_point(g, p):
+    # The class of 0 holds the double root -p, takes no nonzero square value
+    # and runs into the cap at any depth.  It is tried first; the roots in
+    # the class of 1 are points, so the answer is still yes.
+    with pytest.raises(RuntimeError, match="depth cap"):
+        D._zp(D._shift_scale(g, 0, p), p, 12)
+    assert D._zp(g, p, 12) and _zp_bfs(g, p, 12)
 
 
 def test_global_point_certifies_torsor():

@@ -139,6 +139,7 @@ def test_interleaved_sweeps_keep_their_settings():
     assert [list(pair) for pair in both] == [list(pair) for pair in zip(*alone)]
 
 
+@pytest.mark.slow
 def test_hunt_small_grid_emits_n6():
     cfg = SieveConfig(((100, -math.inf),))
     recs = list(
@@ -159,6 +160,7 @@ def test_hunt_empty_grid():
     assert list(run_hunt(1, 1, PI_3)) == []
 
 
+@pytest.mark.slow
 def test_hunt_respects_nagao_filter():
     # default stages reject every tiny curve at S(10^3) > 15
     recs = list(run_hunt(8, 8, PI_3, min_omega=0, selmer_min=0, pmin=1, qmin=1))
@@ -306,3 +308,29 @@ def test_cli_config_file(tmp_path, capsys):
     cfg.write_text("workers = 2\nout = never.jsonl\ntorsor_bound = 7\n")
     assert cli_main(["--config", str(cfg), "analyze", "1"]) == 0
     assert "(bound 1000/7)" in capsys.readouterr().out
+
+    # a config file that cannot be read is a usage error that names it
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--config", str(missing), "analyze", "1"])
+    assert exc.value.code == 2 and f"config file {missing}:" in capsys.readouterr().err
+
+
+def test_cli_required_flags_from_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("range = 1:20\nbound = 20\npmax = 5\nqmax = 5\n"
+                   "min-omega = 0\nselmer-min = 0\nstages = 100:-1000\n")
+    tallies = {20: "count:         8         5         0", 40: "count:        12        12         2"}
+    for argv, bound in ((["sweep"], 20), (["table1"], 20), (["sweep", "--range", "1:40"], 40),
+                        (["table1", "--bound=40"], 40)):
+        assert cli_main(["--config", str(cfg), *argv]) == 0
+        assert tallies[bound] in capsys.readouterr().out, argv
+    # a flag on the command line still wins over the file
+    for argv, survivors in ((["hunt"], 9), (["hunt", "--pmax", "2"], 2), (["hunt", "--pmax=1"], 0)):
+        assert cli_main(["--config", str(cfg), *argv]) == 0
+        assert capsys.readouterr().out.endswith(f"{survivors} survivors\n"), argv
+    # without the file the flags stay required
+    for argv in (["sweep"], ["table1"], ["hunt", "--pmax", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2 and "are required" in capsys.readouterr().err
