@@ -26,7 +26,10 @@ def _parse_stages(text: str) -> SieveConfig:
     for part in text.split(","):
         N, thr = part.split(":")
         stages.append((int(N), float(thr)))
-    return SieveConfig(tuple(stages))
+    try:
+        return SieveConfig(tuple(stages))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 # --theta and --range keep their text, from which the checkpoint key is

@@ -3,6 +3,10 @@
 N_p = 1 + sum_x (1 + chi_p(x^3 + a2 x^2 + a4 x)) with chi_p(0) = 0, so
 a_p = -sum_x chi_p(f(x)).  One numpy path computes the sum for every p
 from a table of chi_p, in O(p) time.
+
+count_points is the oracle for the Mestre-Nagao sums: `nagao` reads a_p
+from the level-24 newform table by quadratic twist and counts no points,
+and the tests check that table against count_points.
 """
 
 from __future__ import annotations
@@ -51,7 +55,3 @@ def _char_sum(a2: int, a4: int, p: int) -> int:
         x = np.arange(lo, min(lo + _BLOCK, p), dtype=np.int64)
         total += int(chi[(x * x + a2 * x + a4) % p * x % p].sum(dtype=np.int64))
     return total
-
-
-def hasse_bound_ok(lc: LocalCount) -> bool:
-    return lc.ap * lc.ap <= 4 * lc.p

@@ -171,7 +171,6 @@ def test_criterion_6_full_tally_stretch(capsys):
     _report(capsys, "6-stretch", not mism, "; ".join(details))
 
 
-@pytest.mark.slow
 def test_criterion_7_nagao_filter(capsys):
     """The record curves pass all three staged thresholds strictly; the
     literal 2pi/3 headline value 4562490669 fails stage one, consistent with

@@ -160,7 +160,6 @@ def test_hunt_empty_grid():
     assert list(run_hunt(1, 1, PI_3)) == []
 
 
-@pytest.mark.slow
 def test_hunt_respects_nagao_filter():
     # default stages reject every tiny curve at S(10^3) > 15
     recs = list(run_hunt(8, 8, PI_3, min_omega=0, selmer_min=0, pmin=1, qmin=1))
@@ -257,6 +256,7 @@ def test_cli_rejects_bad_values(capsys):
         (["sweep", "--range", "5"], "--range"),
         (["sweep", "--range", "1:x"], "--range"),
         (["sweep", "--range", "1-5"], "--range"),
+        (["hunt", "--pmax", "5", "--qmax", "5", "--stages", "10000000:1"], "--stages"),
     ):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)

@@ -76,3 +76,16 @@ def test_no_unreferenced_private_names():
         if all(stmt is definition for stmt in readers.get(name, []))
     )
     assert not dead, f"private names nothing in the package uses: {dead}"
+
+
+def test_nagao_counts_no_points():
+    # the Mestre-Nagao sums read a_p from the newform table; point counting
+    # is the tests' oracle and stays off the hunt's hot path
+    imported = set()
+    for node in ast.walk(_tree(SRC / "nagao.py")):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rpartition(".")[2])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+    assert "pointcount" not in imported
