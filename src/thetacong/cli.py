@@ -33,8 +33,9 @@ def _parse_stages(text: str) -> SieveConfig:
 
 
 # --theta and --range keep their text, from which the checkpoint key is
-# built. argparse turns a ValueError from these into a usage error such as
-# "argument --range: invalid lo_hi_integers value: '5'".
+# built. argparse turns a ValueError from these types into a usage error such
+# as "argument --range: invalid lo_hi_integers value: '5'", and an
+# ArgumentTypeError into one that carries its message.
 def theta_name(text: str) -> str:
     theta_from_name(text)
     return text
@@ -42,8 +43,24 @@ def theta_name(text: str) -> str:
 
 def lo_hi_integers(text: str) -> str:
     lo, _, hi = text.partition(":")
-    int(lo), int(hi)
+    if int(hi) < max(int(lo), 1):
+        raise argparse.ArgumentTypeError(f"{text!r} holds no n >= 1; it needs lo <= hi and hi >= 1")
     return text
+
+
+def _int_at_least(low: int, text: str) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    return _int_at_least(1, text)
+
+
+def nonnegative_int(text: str) -> int:
+    return _int_at_least(0, text)
 
 
 def _load_config(ap: argparse.ArgumentParser, path: str) -> dict[str, str]:
@@ -74,8 +91,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     sweep.add_argument("--report-selmer-min", type=int, default=3)
 
     hunt = sub.add_parser("hunt", help="Step II: Kan grid + Nagao sieve + Selmer threshold")
-    hunt.add_argument("--pmax", type=int, required=True)
-    hunt.add_argument("--qmax", type=int, required=True)
+    hunt.add_argument("--pmax", type=positive_int, required=True)
+    hunt.add_argument("--qmax", type=positive_int, required=True)
     hunt.add_argument("--min-omega", type=int, default=4)
     hunt.add_argument("--stages", type=_parse_stages, default=SieveConfig(),
                       help="comma list N:threshold, e.g. 1000:15,10000:20,100000:40")
@@ -83,25 +100,26 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
                       help="keep curves with selmer rank strictly above this (default per theta)")
 
     table1 = sub.add_parser("table1", help="Selmer tally for squarefree n <= bound")
-    table1.add_argument("--bound", type=int, required=True)
+    table1.add_argument("--bound", type=positive_int, required=True)
 
     verify = sub.add_parser("verify", help="verify all published curves and generators")
     verify.add_argument("--quiet", action="store_true")
 
     analyze = sub.add_parser("analyze", help="deep dive on one curve")
-    analyze.add_argument("n", type=int)
+    analyze.add_argument("n", type=positive_int)
 
     # the shared flags, each on the subcommands that read it
     for p in (sweep, hunt, table1, analyze):
         p.add_argument("--theta", type=theta_name, default="pi/3", help="pi/3 or 2pi/3")
     for p in (sweep, table1):
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=positive_int, default=1)
     for p in (sweep, hunt):
         p.add_argument("--out", help="JSONL output path")
         p.add_argument("--checkpoint", action="store_true", help="resume from an existing checkpoint")
     for p in (sweep, hunt, analyze):
-        p.add_argument("--height-bound", type=int, default=1000)
-        p.add_argument("--torsor-bound", type=int, default=100)
+        p.add_argument("--height-bound", type=positive_int, default=1000)
+        p.add_argument("--torsor-bound", type=nonnegative_int, default=100,
+                       help="0 skips the torsor point sweep")
     return ap, sub
 
 

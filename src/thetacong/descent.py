@@ -3,7 +3,8 @@
 Provides square classes in Q*/(Q*)^2 (canonical signed squarefree ints),
 homogeneous spaces w^2 = d u^4 + a u^2 v^2 + (b/d) v^4 with local
 solvability tests (a sign test at R, and at every prime, 2 included, one
-Hensel recursion over the residues), phi-Selmer sets and the Selmer rank
+Hensel recursion over the residues, which at p >= 101 finds its roots by the
+quadratic formula in t or t^2), phi-Selmer sets and the Selmer rank
 log2(|S^phi| |S^phi-hat|) - 2, the complete 2-descent image map (the family
 has full rational 2-torsion), rank lower bounds from rational points, and a
 bounded point search.
@@ -139,8 +140,8 @@ class Torsor:
 REAL_PLACE = "real"
 
 # Odd p below this bound find roots and unit square values mod p by scanning
-# the residues; at or above it by polynomial algebra over F_p and the Weil
-# bound (which needs p large enough).
+# the residues; at or above it by the quadratic formula in t or t^2 and the
+# Weil bound, which needs p large enough (see _zp).
 _SYMBOLIC_MIN_P = 101
 
 
@@ -181,7 +182,8 @@ def _unit_squares(m: int) -> frozenset[int]:
 
 
 def _zp(g: list[int], p: int, depth: int) -> bool:
-    """Does w^2 = g(t) have t in Zp, w in Qp?
+    """Does w^2 = g(t) have t in Zp, w in Qp?  g lists 5 coefficients,
+    constant term first.
 
     A unit is a square in Qp iff it is one mod m (m = p for odd p; m = 8 for
     p = 2, where the unit squares are 1 mod 8), and g(t) mod m depends on t
@@ -195,6 +197,20 @@ def _zp(g: list[int], p: int, depth: int) -> bool:
     2 v(disc) + 3 levels that _qp_solvable allows, at p = 2 as at odd p.
     A branch out of depth raises RuntimeError once no other root has found
     a point.
+
+    Below _SYMBOLIC_MIN_P one scan of the residues finds the roots and the
+    unit square values.  At larger p the reduction g0 of g is read as a
+    quadratic q: g0 = q(t) when deg g0 <= 2, else g0 = q(t^2), and any other
+    g0 raises ValueError.  That covers every g the recursion meets from a
+    torsor chart c + a t^2 + d t^4, which is even.  Stripping content and the
+    shift t = p s at the root 0 keep g even.  A nonzero root r of an even g0
+    comes with the root -r != r, so its multiplicity m is at most 2.  In
+    g(r + p s) the coefficient of s^k carries p^k, and for k = m exactly p^m
+    times the content of g (r is an m-fold root and m < p), so once the
+    content is divided out the g0 one level down has degree <= m.  The roots
+    come from the quadratic formula, and by the Weil bound g0 takes a unit
+    square value unless it is a constant times a square, which holds iff q
+    is constant or has zero discriminant.
     """
     if g[0] == 0:
         return True  # t = 0 is a root
@@ -218,12 +234,16 @@ def _zp(g: list[int], p: int, depth: int) -> bool:
             if t < p and v % p == 0:
                 roots.append(t)
     else:
-        if not content:
-            # Weil: unless g0 = const * square, g0 takes unit square values
-            cs = _const_times_square(_ptrim(g0[:]), p)
-            if cs is None or legendre(cs[0], p) == 1:
-                return True
-        roots = _roots_mod_p(g0, p)
+        c0, c1, c2, c3, c4 = g0
+        even = bool(c3 or c4)
+        if even and (c1 or c3):
+            raise ValueError(f"w^2 = {g} (constant term first) reduces mod {p} to neither q(t) nor q(t^2) with q quadratic")
+        q0, q1, q2 = (c0, c2, c4) if even else (c0, c1, c2)
+        # Weil: g0 takes a unit square value unless q = q0 or q = q2 (x - x0)^2,
+        # the q with q1^2 - 4 q0 q2 = 0, and then iff that constant is a square
+        if not content and ((q1 * q1 - 4 * q0 * q2) % p or legendre(q2 or q0, p) == 1):
+            return True
+        roots = _quadratic_roots(q0, q1, q2, p, even)
     dg0 = [i * c for i, c in enumerate(g0)][1:]
     capped = None
     for r in roots:
@@ -240,139 +260,20 @@ def _zp(g: list[int], p: int, depth: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# polynomial algebra over F_p for large odd p (no O(p) loops)
+# roots over F_p by the quadratic formula, and the Hensel shift
 
-def _ptrim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pmul(f, g, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out)
-
-
-def _pdivmod(f, g, p):
-    # g monic; returns (quotient, remainder)
-    f = _ptrim([c % p for c in f])
-    dg = len(g) - 1
-    if dg == 0:
-        return f, []
-    q = [0] * max(0, len(f) - dg)
-    while len(f) > dg:
-        coef = f[-1]
-        k = len(f) - 1 - dg
-        q[k] = coef
-        for i in range(dg + 1):
-            f[k + i] = (f[k + i] - coef * g[i]) % p
-        _ptrim(f)
-    return _ptrim(q), f
-
-
-def _pmonic(f, p):
-    inv = pow(f[-1], p - 2, p)
-    return [c * inv % p for c in f]
-
-
-def _pgcd(f, g, p):
-    f, g = [c % p for c in f], [c % p for c in g]
-    f, g = _ptrim(f), _ptrim(g)
-    while g:
-        g = _pmonic(g, p)
-        _, f = _pdivmod(f, g, p)
-        f, g = g, f
-    return _pmonic(f, p) if f else []
-
-
-def _ppowmod(base, exp, mod, p):
-    # mod monic
-    result = [1]
-    base = _pdivmod(base, mod, p)[1]
-    while exp:
-        if exp & 1:
-            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
-        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
-        exp >>= 1
-    return result
-
-
-def _roots_mod_p(f: list[int], p: int) -> list[int]:
-    """Distinct roots in F_p of a nonzero poly of degree <= 4 (odd p)."""
-    f = _ptrim([c % p for c in f])
-    if not f:
-        raise ValueError("zero polynomial")
-    # 0 is a root iff t | f; the roots of f / t^k are then all nonzero
-    k = next(i for i, c in enumerate(f) if c)
-    zero, f = [0] * (k > 0), _pmonic(f[k:], p)
-    if len(f) == 1:
-        return zero
-    if len(f) == 2:
-        return zero + [(-f[0]) % p]
-    # split poly: gcd(x^p - x, f)
-    xp = _ppowmod([0, 1], p, f, p)
-    xp_minus_x = xp[:]
-    while len(xp_minus_x) < 2:
-        xp_minus_x.append(0)
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    g = _pgcd(xp_minus_x, f, p)
-    return zero + sorted(_split_linear(g, p))
-
-
-def _split_linear(g: list[int], p: int) -> list[int]:
-    # g is monic and a product of distinct linear factors
-    if len(g) <= 1:
-        return []
-    if len(g) == 2:
-        return [(-g[0]) % p]
-    if len(g) == 3:
-        b, c = g[1], g[0]
-        disc = (b * b - 4 * c) % p
-        rt = sqrt_mod(disc, p)
-        inv2 = pow(2, p - 2, p)
-        return [((-b + rt) * inv2) % p, ((-b - rt) * inv2) % p]
-    shift = 0
-    while True:
-        h = _ppowmod([shift, 1], (p - 1) // 2, g, p)
-        h = h[:]
-        if h:
-            h[0] = (h[0] - 1) % p
-        else:
-            h = [p - 1]
-        w = _pgcd(h, g, p)
-        if 0 < len(w) - 1 < len(g) - 1:
-            rest, rem = _pdivmod(g, w, p)
-            assert not rem
-            return _split_linear(w, p) + _split_linear(rest, p)
-        shift += 1
-
-
-def _const_times_square(g0: list[int], p: int):
-    """If g0 = c * s(t)^2 in F_p[t] return (c, s); else None (odd p > deg)."""
-    deg = len(g0) - 1
-    if deg == 0:
-        return g0[0], [1]
-    if deg % 2:
-        return None
-    lc = g0[-1]
-    inv_lc = pow(lc, p - 2, p)
-    h = [c * inv_lc % p for c in g0]
-    inv2 = pow(2, p - 2, p)
-    if deg == 2:
-        alpha = h[1] * inv2 % p
-        if alpha * alpha % p == h[0]:
-            return lc, [alpha, 1]
-        return None
-    # deg == 4
-    alpha = h[3] * inv2 % p
-    beta = (h[2] - alpha * alpha) * inv2 % p
-    if (2 * alpha * beta) % p == h[1] and beta * beta % p == h[0]:
-        return lc, [beta, alpha, 1]
-    return None
+def _quadratic_roots(q0: int, q1: int, q2: int, p: int, even: bool) -> list[int]:
+    """The roots in F_p of q(t), or of q(t^2) when even, for a nonzero
+    q = q0 + q1 x + q2 x^2 over F_p (odd p)."""
+    if q2:
+        rt = sqrt_mod(q1 * q1 - 4 * q0 * q2, p)
+        inv = pow(2 * q2, -1, p)
+        xs = [] if rt is None else list({(rt - q1) * inv % p, (-rt - q1) * inv % p})
+    else:
+        xs = [-q0 * pow(q1, -1, p) % p] if q1 else []
+    if not even:
+        return xs
+    return [t for x in xs if (r := sqrt_mod(x, p)) is not None for t in {r, -r % p}]
 
 
 def _shift_scale(g: list[int], r: int, p: int) -> list[int]:
@@ -626,6 +527,8 @@ def search_points(E: CurveQ, height_bound: int, torsor_bound: int | None = None)
         raise ValueError("height_bound must be >= 1")
     if torsor_bound is None:
         torsor_bound = height_bound
+    if torsor_bound < 0:
+        raise ValueError("torsor_bound must be >= 0")
     candidates = _x_sweep(E, height_bound, height_bound)
     if torsor_bound > 0:
         candidates = itertools.chain(candidates, _torsor_sweep(E, torsor_bound))

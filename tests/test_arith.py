@@ -127,15 +127,24 @@ def test_sqrt_mod_examples():
 
 
 def test_sqrt_mod_euler_criterion():
+    def check(a, p):
+        r = sqrt_mod(a, p)
+        euler = a % p == 0 or pow(a, (p - 1) // 2, p) == 1
+        assert (r is not None) == euler, (a, p)
+        if r is not None:
+            assert 0 <= r < p and r * r % p == a % p, (a, p)
+
     for p in primes_below(100):
         if p == 2:
             continue
         for a in range(p):
-            r = sqrt_mod(a, p)
-            euler = a == 0 or pow(a, (p - 1) // 2, p) == 1
-            assert (r is not None) == euler
-            if r is not None:
-                assert r * r % p == a % p
+            check(a, p)
+    # 2^12 .. 2^20 divides p - 1, so Tonelli-Shanks runs its long loop
+    rng = random.Random(12289)
+    for p in (12289, 40961, 65537, 114689, 7340033):
+        assert is_prime(p)
+        for _ in range(200):
+            check(rng.randrange(-p, 2 * p), p)
 
 
 def test_legendre_matches_euler():

@@ -305,21 +305,97 @@ def test_small_odd_route_matches_residue_tree():
             assert D._zp(g, p, 12) == _zp_bfs(g, p, 12), (g, p)
 
 
-def test_symbolic_route_matches_residue_tree():
+SYMBOLIC_PRIMES = (101, 103, 149, 181, 197)
+
+
+def _torsor_chart(c, a, d):
+    """c + a t^2 + d t^4, or None unless cd(a^2 - 4cd) != 0 as on a torsor."""
+    return [c, 0, a, 0, d] if c * d * (a * a - 4 * c * d) else None
+
+
+def test_symbolic_route_matches_residue_tree(monkeypatch):
+    shifts = []
+    shift_scale = D._shift_scale
+
+    def spy(g, r, p):
+        shifts.append(r)
+        return shift_scale(g, r, p)
+
+    monkeypatch.setattr(D, "_shift_scale", spy)
     rng = random.Random(777)
+    contents = []
+    for p in SYMBOLIC_PRIMES:
+        for _ in range(300):
+            if rng.random() < 0.6:
+                # random coefficients times p^k exercise the content stripping
+                # and the shifts at the root 0; the residue tree visits all
+                # p^k classes of a chart with p^k content, so k stays small
+                g = _torsor_chart(*(rng.randrange(-60, 61) * p ** rng.choice((0, 0, 0, 1, 2)) for _ in range(3)))
+            else:
+                # d (t^2 - x^2)^2 + p h has the nonzero double roots +-x mod p;
+                # the Weil step leaves them to the recursion when d is a non-residue
+                x, d = rng.randrange(1, p), rng.randrange(1, p)
+                h0, h2, h4 = (rng.randrange(-60, 61) * p ** rng.choice((0, 1, 2)) for _ in range(3))
+                g = _torsor_chart(d * x**4 + p * h0, -2 * d * x * x + p * h2, d + p * h4)
+            if g is None:
+                continue
+            contents.append(valuation(math.gcd(*g), p))
+            assert D._zp(g, p, 12) == _zp_bfs(g, p, 12), (g, p)
+    assert len(contents) >= 1400
+    assert sum(e >= 1 for e in contents) >= 30 and 2 in contents
+    assert sum(r != 0 for r in shifts) >= 300  # recursions below a nonzero root
+    assert 0 in shifts
+
+
+def test_quadratic_roots_match_residue_scan():
+    rng = random.Random(31)
+    for p in SYMBOLIC_PRIMES:
+        for kind in ("random", "double", "linear", "constant") * 25:
+            x0, lc, b = rng.randrange(p), rng.randrange(1, p), rng.randrange(p)
+            q = {
+                "random": [rng.randrange(p), rng.randrange(p), lc],
+                "double": [lc * x0 * x0 % p, -2 * lc * x0 % p, lc],  # lc (x - x0)^2
+                "linear": [b, lc, 0],
+                "constant": [lc, 0, 0],
+            }[kind]
+            for even in (False, True):
+                g0 = [q[0], 0, q[1], 0, q[2]] if even else q + [0, 0]
+                scan = [t for t in range(p) if _oracle_eval(g0, t) % p == 0]
+                assert sorted(D._quadratic_roots(*q, p, even)) == scan, (q, p, even)
+
+
+def _agrees_or_refuses(g, p):
+    """_zp may refuse g with ValueError but must not give a wrong verdict."""
+    try:
+        verdict = D._zp(g, p, 12)
+    except ValueError:
+        return False
+    assert verdict == _zp_bfs(g, p, 12), (g, p)
+    return True
+
+
+def test_symbolic_route_refuses_other_quartics():
+    # At p >= 101 _zp decides the g whose reduction is q(t) or q(t^2), which
+    # is every g met from a torsor chart, and raises ValueError on the rest.
+    rng = random.Random(777)
+    decided = refused = 0
     for p in (101, 103, 149):
         for _ in range(40):
             g = [rng.randrange(-60, 61) for _ in range(5)]
             if all(x == 0 for x in g):
                 continue
             if rng.random() < 0.3:
-                g = [c * p for c in g]  # exercise the content-stripping branch
-            assert D._zp(g, p, 12) == _zp_bfs(g, p, 12), (g, p)
-    # t^k times a polynomial with nonzero constant term, monomials included
+                g = [c * p for c in g]
+            if _agrees_or_refuses(g, p):
+                decided += 1
+            else:
+                refused += 1
+    assert decided and refused
+    # t^k times a polynomial, monomials included: the root t = 0 answers yes
     for g in ([0, 0, 0, 0, 7], [0, 0, -1, 0, 1], [0, 5, 0, 0, 0], [0, 0, 0, 2, 5]):
-        p = 103
-        assert D._roots_mod_p(g, p) == [r for r in range(p) if D._horner(g, r) % p == 0], g
-        assert D._zp(g, p, 12) == _zp_bfs(g, p, 12), g
+        assert _agrees_or_refuses(g, 103), g
+    with pytest.raises(ValueError, match="neither"):
+        D._zp([1, 0, 0, 2, 5], 103, 12)
 
 
 def test_p2_route_matches_residue_tree():
@@ -548,6 +624,14 @@ def test_search_points_finds_small_generator():
 def test_search_points_rank_zero_curve():
     E = build_curve(1, PI_3)
     assert search_points(E, 100) == []
+
+
+def test_search_points_rejects_bad_bounds():
+    E = build_curve(6, PI_3)
+    with pytest.raises(ValueError, match="height_bound"):
+        search_points(E, 0)
+    with pytest.raises(ValueError, match="torsor_bound"):
+        search_points(E, 50, torsor_bound=-3)
 
 
 def test_search_points_finds_published_x():

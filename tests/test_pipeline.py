@@ -257,6 +257,16 @@ def test_cli_rejects_bad_values(capsys):
         (["sweep", "--range", "1:x"], "--range"),
         (["sweep", "--range", "1-5"], "--range"),
         (["hunt", "--pmax", "5", "--qmax", "5", "--stages", "10000000:1"], "--stages"),
+        (["sweep", "--range", "1:0"], "--range"),
+        (["sweep", "--range", "5:3"], "--range"),
+        (["analyze", "1", "--height-bound", "0"], "--height-bound"),
+        (["analyze", "1", "--torsor-bound", "-3"], "--torsor-bound"),
+        (["analyze", "0"], "n"),
+        (["table1", "--bound", "0"], "--bound"),
+        (["table1", "--bound", "10", "--workers", "-2"], "--workers"),
+        (["sweep", "--range", "1:10", "--workers", "0"], "--workers"),
+        (["hunt", "--pmax", "0", "--qmax", "5"], "--pmax"),
+        (["hunt", "--pmax", "5", "--qmax", "0"], "--qmax"),
     ):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
