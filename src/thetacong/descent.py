@@ -235,8 +235,8 @@ def _zp(g: list[int], p: int, depth: int) -> bool:
                 roots.append(t)
     else:
         c0, c1, c2, c3, c4 = g0
-        even = bool(c3 or c4)
-        if even and (c1 or c3):
+        even = bool(c4)  # deg g0 > 2, so g0 must be q(t^2)
+        if c3 or even and c1:
             raise ValueError(f"w^2 = {g} (constant term first) reduces mod {p} to neither q(t) nor q(t^2) with q quadratic")
         q0, q1, q2 = (c0, c2, c4) if even else (c0, c1, c2)
         # Weil: g0 takes a unit square value unless q = q0 or q = q2 (x - x0)^2,
