@@ -172,7 +172,10 @@ def main(argv=None) -> int:
     writer = None
     if args.out:
         key = repr(sorted((k, str(v)) for k, v in vars(args).items() if k not in ("checkpoint", "workers")))
-        writer = CheckpointedWriter(args.out, key, resume=args.checkpoint)
+        try:
+            writer = CheckpointedWriter(args.out, key, resume=args.checkpoint)
+        except ValueError as err:
+            ap.error(str(err))
 
     try:
         if args.command == "sweep":

@@ -200,13 +200,7 @@ def has_good_reduction(E: CurveQ, p: int) -> bool:
 
 def point_to_strings(P: PointQ) -> list[str]:
     """Serialize as ["num/den", "num/den"] with unit denominators elided."""
-    if P.is_infinity:
-        return []
-
-    def fmt(q: Fraction) -> str:
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-    return [fmt(P.x), fmt(P.y)]
+    return [] if P.is_infinity else [str(P.x), str(P.y)]
 
 
 def point_from_strings(coords: list[str]) -> PointQ:

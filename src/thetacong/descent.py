@@ -7,13 +7,15 @@ Hensel recursion over the residues, which at p >= 101 finds its roots by the
 quadratic formula in t or t^2), phi-Selmer sets and the Selmer rank
 log2(|S^phi| |S^phi-hat|) - 2, the complete 2-descent image map (the family
 has full rational 2-torsion), rank lower bounds from rational points, and a
-bounded point search.
+bounded point search: one sieved sweep of coprime (u, v) on torsors.  An x =
+m/e^2 in lowest terms is d u^2/v^2 with d | b, so the search over |m|, e <= H
+runs on the forward torsors with |d| <= H and yields y > 0; the Selmer
+torsors of both directions yield y = d u w / v^3.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -375,19 +377,10 @@ def descent_image(P: PointQ, E: CurveQ) -> tuple[int, int, int]:
     """
     if P.is_infinity:
         raise ValueError("descent image of the point at infinity is trivial; pass affine points")
-    roots = E.two_torsion_x
     hint = sorted(E.bad_primes)
-    classes: list[int | None] = []
-    for e in roots:
-        t = P.x - e
-        classes.append(None if t == 0 else square_class(t, hint))
-    for i, cl in enumerate(classes):
-        if cl is None:
-            prod = 1
-            for j, e in enumerate(roots):
-                if j != i:
-                    prod *= roots[i] - e
-            classes[i] = square_class_int(prod, hint)
+    classes = [None if P.x == e else square_class(P.x - e, hint) for e in E.two_torsion_x]
+    if None in classes:
+        classes[classes.index(None)] = class_mul(*(cl for cl in classes if cl is not None))
     t1, t2, t3 = classes
     assert class_mul(class_mul(t1, t2), t3) == 1
     return (t1, t2, t3)
@@ -456,12 +449,12 @@ _SQ_MASK_64[(np.arange(32) ** 2) % 64] = True
 _SQ_MOD_ODD = 45045  # 3^2 * 5 * 7 * 11 * 13
 _SQ_MASK_ODD = np.zeros(_SQ_MOD_ODD, dtype=bool)
 _SQ_MASK_ODD[(np.arange(_SQ_MOD_ODD, dtype=np.int64) ** 2) % _SQ_MOD_ODD] = True
-# The sweeps evaluate their values mod M = _SIEVE_MOD = 2,882,880 in int64.
-# Every operand entering numpy is a residue below M (the coefficients, up to
-# ~1e24 for the record curves, are reduced as Python ints first), so each
-# product is below M^2 ~ 8.3e12 and each sum of three is below 2.5e13, far
-# under 2^63.
+# The one sweep evaluates quartics mod M = _SIEVE_MOD = 2,882,880 in int64.
+# Every operand entering numpy is a residue below M (coefficients, up to ~1e24
+# on the record curves, are reduced as Python ints first), so each product is
+# below M^2 ~ 8.3e12 and each sum of three below 2.5e13, far under 2^63.
 _SIEVE_MOD = 64 * _SQ_MOD_ODD
+_BLOCK_CELLS = 4096
 
 
 def _maybe_square(vmod: np.ndarray) -> np.ndarray:
@@ -469,81 +462,83 @@ def _maybe_square(vmod: np.ndarray) -> np.ndarray:
     return _SQ_MASK_64[vmod & 63] & _SQ_MASK_ODD[vmod % _SQ_MOD_ODD]
 
 
-def _x_sweep(E: CurveQ, mmax: int, emax: int):
-    """Points (m/e^2, w/e^3) with 0 < |m| <= mmax, 1 <= e <= emax,
-    gcd(m, e) = 1 and w^2 = m(m^2 + a2 e^2 m + a4 e^4) > 0."""
+def _torsor_points(T: Torsor, umax: int, vmax: int, k: int = 1):
+    """(u, v, r) for 1 <= u <= umax, 1 <= v <= vmax with gcd(k u, v) = 1 and
+    T.value(u, v) = r^2 > 0.  The values are sieved mod _SIEVE_MOD in blocks
+    of whole u rows, at most _BLOCK_CELLS cells unless one row is longer, so
+    memory stays flat at any bound; each hit is confirmed by is_square."""
     M = _SIEVE_MOD
-    ms = np.arange(-mmax, mmax + 1, dtype=np.int64)  # m = 0 gives v = 0
-    m1 = ms % M
-    m2 = m1 * m1 % M
-    m3 = m2 * m1 % M
-    for e in range(1, emax + 1):
-        e2 = e * e
-        A, B = E.a2 * e2, E.a4 * e2 * e2
-        cand = _maybe_square((m3 + A % M * m2 + B % M * m1) % M) & (np.gcd(ms, e) == 1)
-        for m in ms[cand].tolist():
-            v = m * (m * m + A * m + B)
-            if v > 0 and is_square(v):
-                yield PointQ(Fraction(m, e2), Fraction(math.isqrt(v), e2 * e))
+    vs = np.arange(1, vmax + 1, dtype=np.int64)
+    v2 = vs * vs % M
+    av2, cv4 = T.a % M * v2 % M, T.c % M * (v2 * v2 % M) % M
+    rows = max(1, _BLOCK_CELLS // vmax)
+    for u0 in range(1, umax + 1, rows):
+        us = np.arange(u0, min(u0 + rows, umax + 1), dtype=np.int64)[:, None]
+        u2 = us * us % M
+        vmod = (T.d % M * (u2 * u2 % M) + u2 * av2 + cv4) % M
+        for i, j in np.argwhere(_maybe_square(vmod) & (np.gcd(k * us, vs) == 1)).tolist():
+            u, v = u0 + i, j + 1
+            val = T.value(u, v)
+            if val > 0 and is_square(val):
+                yield u, v, math.isqrt(val)
 
 
-def _torsor_sweep(E: CurveQ, bound: int):
-    """Points w^2 = d u^4 + a u^2 v^2 + c v^4, coprime 1 <= u, v <= bound, on
-    the Selmer torsors of both directions (dual hits are pulled back)."""
-    M = _SIEVE_MOD
-    pair = IsogenyPair.from_curve(E)
-    us = np.arange(1, bound + 1, dtype=np.int64)
-    U, V = np.repeat(us, bound), np.tile(us, bound)
-    coprime = np.gcd(U, V) == 1
-    U, V = U[coprime], V[coprime]
-    u2, v2 = U * U % M, V * V % M
-    u4, uv, v4 = u2 * u2 % M, u2 * v2 % M, v2 * v2 % M
-    for dual in (False, True):
-        a, b = pair.side(dual)
-        for d in phi_selmer(pair, dual):
-            c = b // d
-            cand = _maybe_square((d % M * u4 + a % M * uv + c % M * v4) % M)
-            for i in np.flatnonzero(cand).tolist():
-                u, v = int(U[i]), int(V[i])
-                val = d * u**4 + a * u * u * v * v + c * v**4
-                if val <= 0 or not is_square(val):
-                    continue
-                X = Fraction(d * u * u, v * v)
-                Y = Fraction(d * u * math.isqrt(val), v**3)
-                if not dual:
-                    yield PointQ(X, Y)
-                elif X != 0 and Y != 0:
-                    # pull back through the dual isogeny E' -> E
-                    x = Y * Y / (4 * X * X)
-                    y = Y * (X * X - pair.b_dual) / (8 * X * X)
-                    yield PointQ(x, y)
+def _x_points(pair: IsogenyPair, mmax: int, emax: int):
+    """Points (m/e^2, w/e^3), w > 0, 0 < |m| <= mmax, 1 <= e <= emax, gcd(m, e)
+    = 1.  The squarefree part d of m divides gcd(m, m^2 + a e^2 m + b e^4) =
+    gcd(m, b), and m = d u^2 gives w^2 = d^2 u^2 (d u^4 + a u^2 e^2 + (b/d) e^4);
+    every class d runs, not only the Selmer set."""
+    for d in _signed_squarefree_divisors(pair.b, pair.places):
+        if abs(d) <= mmax:
+            T = Torsor.build(d, pair.a, pair.b)
+            for u, v, r in _torsor_points(T, math.isqrt(mmax // abs(d)), emax, d):
+                yield PointQ(Fraction(d * u * u, v * v), Fraction(abs(d) * u * r, v**3))
+
+
+def _selmer_points(pair: IsogenyPair, selmer_sets, bound: int):
+    """Points (d u^2/v^2, d u r/v^3) from coprime 1 <= u, v <= bound on the
+    torsors of the (forward, dual) Selmer sets; dual hits are pulled back
+    through the dual isogeny E' -> E."""
+    for dual, S in zip((False, True), selmer_sets):
+        for d in S:
+            for u, v, r in _torsor_points(Torsor.build(d, *pair.side(dual)), bound, bound):
+                X, Y = Fraction(d * u * u, v * v), Fraction(d * u * r, v**3)
+                if dual:
+                    X, Y = Y * Y / (4 * X * X), Y * (X * X - pair.b_dual) / (8 * X * X)
+                yield PointQ(X, Y)
 
 
 def search_points(E: CurveQ, height_bound: int, torsor_bound: int | None = None) -> list[PointQ]:
-    """Non-torsion points found by (i) the x = m/e^2 sweep, |m|, e <= height_bound,
-    and (ii) u, v <= torsor_bound sweeps over the everywhere-locally-solvable
-    torsors (torsor_bound defaults to height_bound; 0 skips them)."""
+    """Non-torsion points, sorted by x-height, from (i) every x = m/e^2 with
+    |m|, e <= height_bound, each with y > 0, and (ii) coprime u, v <=
+    torsor_bound on the Selmer torsors of both directions, with y = d u w /
+    v^3, so a point may come with both signs of y.  torsor_bound defaults to
+    height_bound; 0 skips (ii)."""
+    return _search_points(E, IsogenyPair.from_curve(E), height_bound, torsor_bound)
+
+
+def _search_points(E: CurveQ, pair: IsogenyPair, height_bound: int, torsor_bound: int | None,
+                   selmer_sets=None) -> list[PointQ]:
+    """search_points on the (forward, dual) Selmer sets, built if not given."""
     if height_bound < 1:
         raise ValueError("height_bound must be >= 1")
     if torsor_bound is None:
         torsor_bound = height_bound
     if torsor_bound < 0:
         raise ValueError("torsor_bound must be >= 0")
-    candidates = _x_sweep(E, height_bound, height_bound)
+    parts = [_x_points(pair, height_bound, height_bound)]
     if torsor_bound > 0:
-        candidates = itertools.chain(candidates, _torsor_sweep(E, torsor_bound))
-    seen: dict[tuple, PointQ] = {}
-    for P in candidates:
-        if P.y != 0 and is_on_curve(P, E) and not is_torsion(P, E):
-            seen.setdefault((P.x, P.y), P)
-    def height(P: PointQ) -> int:
-        return max(abs(P.x.numerator), P.x.denominator)
-    return sorted(seen.values(), key=lambda P: (height(P), P.x, P.y))
+        if selmer_sets is None:
+            selmer_sets = (phi_selmer(pair), phi_selmer(pair, dual=True))
+        parts.append(_selmer_points(pair, selmer_sets, torsor_bound))
+    found = {P for part in parts for P in part if P.y != 0 and is_on_curve(P, E) and not is_torsion(P, E)}
+    return sorted(found, key=lambda P: (max(abs(P.x.numerator), P.x.denominator), P.x, P.y))
 
 
 def has_small_nontorsion_point(E: CurveQ, xheight: int) -> bool:
-    """Any non-torsion point with x = m/e^2, |m|, e^2 <= xheight?"""
-    return any(not is_torsion(P, E) for P in _x_sweep(E, xheight, math.isqrt(xheight)))
+    """Any non-torsion point with x = m/e^2, |m|, e^2 <= xheight?  This is
+    part (i) of search_points with |m| <= xheight and e <= isqrt(xheight)."""
+    return any(not is_torsion(P, E) for P in _x_points(IsogenyPair.from_curve(E), xheight, math.isqrt(xheight)))
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +558,6 @@ def full_descent(E: CurveQ, height_bound: int = 1000, torsor_bound: int | None =
     bound certified by the found points."""
     pair = IsogenyPair.from_curve(E)
     s1, s2 = phi_selmer(pair), phi_selmer(pair, dual=True)
-    pts = search_points(E, height_bound, torsor_bound)
+    pts = _search_points(E, pair, height_bound, torsor_bound, (s1, s2))
     lb = rank_lower_bound(pts, E)
     return DescentReport(s1, s2, _rank_from_sets(s1, s2), lb, pts)

@@ -87,11 +87,18 @@ class CheckpointedWriter:
         self._since_flush = 0
         offset = 0
         if resume and os.path.exists(self.ckpt_path) and os.path.exists(path):
-            with open(self.ckpt_path) as fh:
-                ck = json.load(fh)
-            if ck.get("config") == self.config_hash:
-                offset = ck["offset"]
-                self.last_n = ck["last_n"]
+            # a checkpoint that cannot be read, or that points past the end of
+            # the JSONL, stops the run: resuming from it would pad or skip n
+            try:
+                with open(self.ckpt_path) as fh:
+                    ck = json.load(fh)
+                config, last_n, end = ck["config"], ck["last_n"], ck["offset"]
+                if not 0 <= end <= os.path.getsize(path):
+                    raise ValueError(f"offset {end} lies past the end of {path}")
+            except (ValueError, KeyError, TypeError) as err:
+                raise ValueError(f"checkpoint {self.ckpt_path} cannot be resumed: {err!r}") from None
+            if config == self.config_hash:
+                offset, self.last_n = end, last_n
         self.fh = open(path, "ab" if offset else "wb")
         if offset:
             self.fh.truncate(offset)

@@ -687,11 +687,15 @@ def _oracle_search(E, height_bound, torsor_bound):
 
 def test_search_points_matches_unsieved_oracle():
     flags = squarefree_flags(200)
-    for theta in (PI_3, TWO_PI_3):
-        for n in range(1, 201):
-            if flags[n]:
-                E = build_curve(n, theta)
-                assert search_points(E, 80, 20) == _oracle_search(E, 80, 20), (n, theta.name)
+    cases = [(n, theta, 80, 20) for theta in (PI_3, TWO_PI_3) for n in range(1, 201) if flags[n]]
+    # x searches that reach negative classes d | b (x = -2, -19, -51 on
+    # E_{646,pi/3}; -1, -13, -51 on E_{221,2pi/3})
+    cases += [(646, PI_3, 300, 0), (221, TWO_PI_3, 300, 0)]
+    for n, theta, height_bound, torsor_bound in cases:
+        E = build_curve(n, theta)
+        expected = _oracle_search(E, height_bound, torsor_bound)
+        assert search_points(E, height_bound, torsor_bound) == expected, (n, theta.name)
+        assert torsor_bound or any(P.x < 0 for P in expected)
 
 
 def test_search_points_matches_oracle_on_records():
@@ -705,12 +709,18 @@ def test_search_points_matches_oracle_on_records():
 
 def test_has_small_nontorsion_point_matches_oracle():
     flags = squarefree_flags(150)
-    for theta in (PI_3, TWO_PI_3):
-        for n in range(1, 151):
-            if flags[n]:
-                E = build_curve(n, theta)
-                expected = any(not is_torsion(P, E) for P in _oracle_x_points(E, 400, 20))
-                assert has_small_nontorsion_point(E, 400) == expected, (n, theta.name)
+    cases = [(n, theta, 400) for theta in (PI_3, TWO_PI_3) for n in range(1, 151) if flags[n]]
+    # the ten largest n <= 1e5 whose curve has Selmer rank 0 and b three
+    # odd primes or more, so many classes d | b with |d| <= 1000
+    cases += [(n, theta, 1000) for n, theta in (
+        (99995, TWO_PI_3), (99974, PI_3), (99883, PI_3), (99869, PI_3), (99827, TWO_PI_3),
+        (99731, TWO_PI_3), (99674, TWO_PI_3), (99554, PI_3), (99491, TWO_PI_3), (99435, TWO_PI_3))]
+    for n, theta, xheight in cases:
+        E = build_curve(n, theta)
+        expected = any(not is_torsion(P, E) for P in _oracle_x_points(E, xheight, math.isqrt(xheight)))
+        assert has_small_nontorsion_point(E, xheight) == expected, (n, theta.name)
+        if xheight == 1000:
+            assert selmer_rank(E) == 0 and not expected
 
 
 def test_has_small_nontorsion_point_consistency():
@@ -751,6 +761,20 @@ def test_full_descent_report_invariants():
         assert 0 <= rep.rank_lb <= rep.selmer_rank
         for P in rep.points_found:
             assert is_on_curve(P, E)
+
+
+def test_full_descent_builds_each_selmer_set_once(monkeypatch):
+    calls = []
+    real = D.selmer_set
+
+    def spy(a, b, places):
+        calls.append((a, b))
+        return real(a, b, places)
+
+    monkeypatch.setattr(D, "selmer_set", spy)
+    rep = full_descent(build_curve(646, PI_3), height_bound=50, torsor_bound=10)
+    assert rep.selmer_rank == 3
+    assert len(calls) == 2
 
 
 def test_full_descent_pins_small_anchors():

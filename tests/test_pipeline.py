@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 
 import pytest
 
@@ -111,6 +112,44 @@ def test_checkpoint_config_mismatch_restarts(tmp_path):
     w2 = CheckpointedWriter(str(path), "config-B", resume=True, interval=4)
     assert w2.last_n is None
     w2.close()
+
+
+def _bad_checkpoints(path):
+    """A sweep's JSONL and .ckpt, each spoiled in turn: the JSONL cut short
+    of the checkpoint's offset, a .ckpt that is not JSON, one with a key
+    missing.  Yields the spoiled JSONL bytes after writing each case."""
+    ckpt = pathlib.Path(str(path) + ".ckpt")
+    data, good = path.read_bytes(), json.loads(ckpt.read_text())
+    missing = {k: v for k, v in good.items() if k != "offset"}
+    for jsonl, text in ((data[: good["offset"] // 2], json.dumps(good)), (data, "{not json"),
+                        (data, json.dumps(missing))):
+        path.write_bytes(jsonl)
+        ckpt.write_text(text)
+        yield jsonl
+
+
+def test_checkpoint_resume_refuses_a_bad_checkpoint(tmp_path):
+    path = tmp_path / "out.jsonl"
+    w = CheckpointedWriter(str(path), "config-A", interval=4)
+    for rec in run_sweep(1, 40, PI_3, report_selmer_min=99, writer=w):
+        pass
+    w.close()
+    for jsonl in _bad_checkpoints(path):
+        with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))}.ckpt"):
+            CheckpointedWriter(str(path), "config-A", resume=True)
+        assert path.read_bytes() == jsonl  # neither padded nor cut
+
+
+def test_cli_resume_from_a_bad_checkpoint_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "sweep.jsonl"
+    argv = ["sweep", "--range", "1:100", "--out", str(path), "--checkpoint", "--torsor-bound", "10"]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    for jsonl in _bad_checkpoints(path):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2 and f"checkpoint {path}.ckpt" in capsys.readouterr().err
+        assert path.read_bytes() == jsonl
 
 
 def test_parallel_sweep_matches_serial(tmp_path):

@@ -89,3 +89,15 @@ def test_nagao_counts_no_points():
         elif isinstance(node, ast.Import):
             imported.update(alias.name.rpartition(".")[2] for alias in node.names)
     assert "pointcount" not in imported
+
+
+def test_one_point_sieve():
+    # every point search goes through one sieve-and-confirm routine, the
+    # only caller of the residue filter
+    callers = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_maybe_square"
+    ]
+    assert len(callers) == 1, callers
