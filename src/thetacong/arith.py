@@ -80,16 +80,6 @@ def squarefree_count(N: int) -> int:
     return int(squarefree_flags(N).sum())
 
 
-def smallest_prime_factors(N: int) -> np.ndarray:
-    """SPF table for 0..N (spf[n] = smallest prime factor of n, spf[1] = 1)."""
-    spf = np.arange(N + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(N) + 1):
-        if spf[p] == p:
-            sl = spf[p * p :: p]
-            sl[sl == np.arange(p * p, N + 1, p)] = p
-    return spf
-
-
 @dataclass(frozen=True)
 class Factorization:
     """Signed factorization: sign * prod(p^e) with strictly increasing primes."""

@@ -8,7 +8,8 @@ grids over (p, q) and keeps n with many odd prime factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from .arith import factorize, squarefree_part
 from .curves import PointQ, ThetaParams
@@ -21,16 +22,19 @@ _YOSHIDA_RESIDUES = {
 
 @dataclass(slots=True)
 class CandidateRecord:
-    """A searched n with provenance and whatever diagnostics have been filled in."""
+    """A searched n with provenance and whatever diagnostics have been filled in.
+
+    Empty fields hold the shared (), and None for no Nagao values, so a
+    sweep record carries no containers of its own."""
 
     n: int
     theta: ThetaParams
-    provenance: list[tuple[int, int]] = field(default_factory=list)
+    provenance: Sequence[tuple[int, int]] = ()
     omega_odd: int = 0
-    nagao_values: dict[int, float] = field(default_factory=dict)
+    nagao_values: dict[int, float] | None = None
     selmer: int | None = None
     rank_lb: int | None = None
-    points: list[PointQ] = field(default_factory=list)
+    points: Sequence[PointQ] = ()
 
 
 def kan_number(p: int, q: int, theta: ThetaParams) -> int:

@@ -4,7 +4,9 @@ Provides square classes in Q*/(Q*)^2 (canonical signed squarefree ints),
 homogeneous spaces w^2 = d u^4 + a u^2 v^2 + (b/d) v^4 with local
 solvability tests (a sign test at R, and at every prime, 2 included, one
 Hensel recursion over the residues, which at p >= 101 finds its roots by the
-quadratic formula in t or t^2), phi-Selmer sets and the Selmer rank
+quadratic formula in t or t^2; below 101 the recursion decides one torsor per
+Q_p-isomorphism class and a table keyed on that class answers the rest),
+phi-Selmer sets and the Selmer rank
 log2(|S^phi| |S^phi-hat|) - 2, the complete 2-descent image map (the family
 has full rational 2-torsion), rank lower bounds from rational points, and a
 bounded point search: one sieved sweep of coprime (u, v) on torsors.  An x =
@@ -162,11 +164,52 @@ def _real_solvable(d: int, a: int, c: int) -> bool:
     return a > 0 and a * a >= 4 * d * c
 
 
+# Verdicts at p = 2 and odd p < _SYMBOLIC_MIN_P by Q_p-isomorphism class of
+# the torsor, filled on demand by _qp_solvable.  Each entry is a fact about
+# its key alone, so every caller in the process can share the table.
+_QP_VERDICTS: dict[tuple, bool] = {}
+
+
+def _qp_class(x: int, p: int) -> tuple[int, int]:
+    """Class of x != 0 in Q_p*/(Q_p*)^2: v_p(x) mod 2, then the unit part
+    mod 8 at p = 2, or its Legendre symbol at odd p."""
+    e = 0
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e & 1, x % 8 if p == 2 else legendre(x, p)
+
+
 def _qp_solvable(T: Torsor, p: int) -> bool:
+    """Is w^2 = d u^4 + a u^2 v^2 + c v^4 solvable in Q_p?
+
+    For mu, tau in Q_p*, (u, v, w) -> (u, v / tau, mu w) maps the points of
+    (d, a, c) onto those of (mu^2 d, mu^2 tau^2 a, mu^2 tau^4 c).  With a != 0
+    the key ([d]_p, [a]_p, kappa), kappa = c d / a^2, is a complete invariant
+    of that action: if (d', a', c') has the same key, mu^2 = d'/d and tau^2 =
+    a' d / (a d') are squares in Q_p and c' = mu^2 tau^4 c.  So the verdict
+    depends on p and the key only, and _QP_VERDICTS keeps it for p = 2 and
+    every odd p < _SYMBOLIC_MIN_P; the first torsor of each key is decided by
+    _zp.  In the family kappa is -3/4 forward and 1 dual, so the table holds
+    at most 2 (8 * 8 + 24 * 4 * 4) = 896 entries: 8 square classes at p = 2,
+    4 at each of the 24 odd p < 101.  a = 0 and p >= _SYMBOLIC_MIN_P, where
+    _zp finds its roots by the quadratic formula, are decided directly.
+    """
+    key = None
+    if T.a and p < _SYMBOLIC_MIN_P:
+        num, den = T.c * T.d, T.a * T.a
+        g = math.gcd(num, den)
+        key = (p, _qp_class(T.d, p), _qp_class(T.a, p), (num // g, den // g))
+        verdict = _QP_VERDICTS.get(key)
+        if verdict is not None:
+            return verdict
     depth = 2 * valuation(T.quartic_disc, p) + 3
     f1 = [T.c, 0, T.a, 0, T.d]  # chart t = u/v
     f2 = [T.d, 0, T.a, 0, T.c]  # chart t = v/u
-    return _zp(f1, p, depth) or _zp(f2, p, depth)
+    verdict = _zp(f1, p, depth) or _zp(f2, p, depth)
+    if key is not None:
+        _QP_VERDICTS[key] = verdict
+    return verdict
 
 
 def _horner(g: list[int], t: int) -> int:

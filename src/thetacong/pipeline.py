@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from functools import partial
 from . import dataset
 # factorize is re-exported: perfbench/selftest.py checks that the tracer
 # wraps it under every module that holds it, pipeline included.
-from .arith import Factorization, factorize, squarefree_flags, smallest_prime_factors
+from .arith import Factorization, factorize, primes_below
 from .candidates import CandidateRecord, generate_candidates
 from .curves import (
     ThetaParams,
@@ -53,7 +54,7 @@ def record_to_json(rec: CandidateRecord) -> str:
         "theta": rec.theta.name,
         "provenance": [list(pq) for pq in rec.provenance],
         "omega": rec.omega_odd,
-        "nagao": {str(N): v for N, v in rec.nagao_values.items()},
+        "nagao": {str(N): v for N, v in (rec.nagao_values or {}).items()},
         "selmer": rec.selmer,
         "rank_lb": rec.rank_lb,
         "points": [point_to_strings(P) for P in rec.points],
@@ -62,16 +63,18 @@ def record_to_json(rec: CandidateRecord) -> str:
 
 
 def record_from_json(line: str) -> CandidateRecord:
+    """The record that record_to_json wrote; empty fields come back as
+    CandidateRecord's defaults."""
     obj = json.loads(line)
     return CandidateRecord(
         n=int(obj["n"]),
         theta=theta_from_name(obj["theta"]),
-        provenance=[tuple(pq) for pq in obj.get("provenance", [])],
+        provenance=[tuple(pq) for pq in obj.get("provenance", [])] or (),
         omega_odd=obj.get("omega", 0),
-        nagao_values={int(N): v for N, v in obj.get("nagao", {}).items()},
+        nagao_values={int(N): v for N, v in obj.get("nagao", {}).items()} or None,
         selmer=obj.get("selmer"),
         rank_lb=obj.get("rank_lb"),
-        points=[point_from_strings(c) for c in obj.get("points", [])],
+        points=[point_from_strings(c) for c in obj.get("points", [])] or (),
     )
 
 
@@ -154,19 +157,29 @@ def _sweep_one(task, theta, report_selmer_min, height_bound, torsor_bound):
     return rec
 
 
+_SIEVE_BLOCK = 1 << 14
+
+
 def _squarefree_tasks(lo: int, hi: int):
-    flags = squarefree_flags(hi)
-    spf = smallest_prime_factors(hi)
-    for n in range(max(lo, 1), hi + 1):
-        if not flags[n]:
-            continue
-        primes = []
-        m = n
-        while m > 1:
-            p = int(spf[m])
-            primes.append(p)
-            m //= p
-        yield n, tuple(primes)
+    """(n, primes of n ascending) for each squarefree n in [lo, hi], in
+    increasing n.  [lo, hi] is sieved in blocks of _SIEVE_BLOCK by the primes
+    p <= isqrt(hi), each divided out of its multiples once: n is squarefree
+    iff no such p still divides what is left, which is then 1 or a prime."""
+    small = primes_below(math.isqrt(hi) + 1)
+    for start in range(max(lo, 1), hi + 1, _SIEVE_BLOCK):
+        size = min(_SIEVE_BLOCK, hi + 1 - start)
+        rest = list(range(start, start + size))
+        found: list[list[int]] = [[] for _ in range(size)]
+        for p in small:
+            for i in range(-start % p, size, p):
+                rest[i] //= p
+                found[i].append(p)
+        for i, (m, primes) in enumerate(zip(rest, found)):
+            if any(m % p == 0 for p in primes):
+                continue
+            if m > 1:
+                primes.append(m)
+            yield start + i, tuple(primes)
 
 
 def run_sweep(

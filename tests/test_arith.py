@@ -15,7 +15,6 @@ from thetacong.arith import (
     is_squarefree,
     legendre,
     primes_below,
-    smallest_prime_factors,
     sqrt_mod,
     squarefree_count,
     squarefree_flags,
@@ -110,13 +109,6 @@ def test_primes_below():
 def test_primes_below_cross_check():
     ps = primes_below(2000)
     assert ps == [n for n in range(2, 2000) if is_prime(n)]
-
-
-def test_smallest_prime_factors():
-    spf = smallest_prime_factors(1000)
-    assert spf[1] == 1
-    for n in range(2, 1001):
-        assert int(spf[n]) == factorize(n).primes()[0]
 
 
 def test_sqrt_mod_examples():

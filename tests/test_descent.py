@@ -3,7 +3,11 @@ independent p-adic brute-force oracle), Selmer sets and ranks, descent images,
 rank lower bounds, and the bounded point search."""
 
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -447,6 +451,71 @@ def test_capped_branch_does_not_hide_a_point(g, p):
     with pytest.raises(RuntimeError, match="depth cap"):
         D._zp(D._shift_scale(g, 0, p), p, 12)
     assert D._zp(g, p, 12) and _zp_bfs(g, p, 12)
+
+
+def _direct_verdict(T, p):
+    """_zp on both charts of T, as _qp_solvable decides a torsor its verdict
+    table does not hold."""
+    depth = 2 * valuation(T.quartic_disc, p) + 3
+    return D._zp([T.c, 0, T.a, 0, T.d], p, depth) or D._zp([T.d, 0, T.a, 0, T.c], p, depth)
+
+
+def _table_key(T, p):
+    kappa = Fraction(T.c * T.d, T.a * T.a)
+    return (p, D._qp_class(T.d, p), D._qp_class(T.a, p), (kappa.numerator, kappa.denominator))
+
+
+def test_scaled_torsors_share_the_direct_verdict():
+    # (u, v, w) -> (u, v / tau, mu w) takes (d, a, c) to (mu^2 d, mu^2 tau^2 a,
+    # mu^2 tau^4 c) over Q_p, so both get one verdict and one table key
+    rng = random.Random(1010)
+    for p in (2, 3, 5, 7, 97):
+        verdicts = set()
+        for _ in range(150):
+            d, a, c = (rng.choice((1, -1)) * rng.randrange(1, 200) for _ in range(3))
+            if a * a == 4 * d * c:
+                continue
+            mu, tau = (rng.choice((1, -1)) * rng.randrange(1, 30) * p ** rng.choice((0, 0, 1, 2)) for _ in range(2))
+            T, S = Torsor(d, a, c), Torsor(mu * mu * d, mu * mu * tau * tau * a, mu * mu * tau**4 * c)
+            assert _table_key(S, p) == _table_key(T, p), (T, S, p)
+            verdict = _direct_verdict(T, p)
+            assert _direct_verdict(S, p) == verdict, (T, S, p)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}, p
+
+
+@pytest.mark.slow
+def test_verdict_table_matches_direct_route_on_desk_torsors(monkeypatch):
+    # every torsor of squarefree n <= 3000, both angles and directions, at
+    # every bad p < 101, starting from an empty table
+    table = {}
+    monkeypatch.setattr(D, "_QP_VERDICTS", table)
+    flags = squarefree_flags(3000)
+    checked = 0
+    for theta in (PI_3, TWO_PI_3):
+        for n in range(1, 3001):
+            if not flags[n]:
+                continue
+            pair = IsogenyPair.from_curve(build_curve(n, theta))
+            for dual in (False, True):
+                a, b = pair.side(dual)
+                for d in D._signed_squarefree_divisors(b, pair.places):
+                    T = Torsor.build(d, a, b)
+                    for p in pair.places:
+                        if p < D._SYMBOLIC_MIN_P:
+                            assert locally_solvable(T, p) == _direct_verdict(T, p), (n, theta, dual, d, p)
+                            checked += 1
+    assert checked > 300_000
+    assert 0 < len(table) <= 896
+    assert {key[3] for key in table} == {(-3, 4), (1, 1)}
+
+
+def test_fresh_import_builds_no_verdict_table():
+    code = ("import thetacong, thetacong.pipeline, thetacong.descent as D\n"
+            "assert D._QP_VERDICTS == {}, len(D._QP_VERDICTS)")
+    src = pathlib.Path(D.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_global_point_certifies_torsor():

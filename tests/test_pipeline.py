@@ -5,11 +5,13 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import re
 
 import pytest
 
-from thetacong.arith import squarefree_count, squarefree_flags
+from thetacong import pipeline
+from thetacong.arith import factorize, squarefree_count, squarefree_flags, squarefree_part
 from thetacong.candidates import CandidateRecord
 from thetacong.curves import PI_3, TWO_PI_3, PointQ, build_curve, is_on_curve
 from thetacong.cli import main as cli_main
@@ -49,6 +51,17 @@ def test_record_json_roundtrip():
     assert record_from_json(record_to_json(big)).n == big.n
 
 
+def test_default_sweep_record_pickles_and_round_trips():
+    # a table1-mode record keeps the shared empty defaults, which survive
+    # a worker's pickle and the JSONL round trip and print as before
+    rec = next(run_sweep(6, 6, PI_3, report_selmer_min=10**9))
+    assert rec.provenance == () and rec.points == () and rec.nagao_values is None
+    assert pickle.loads(pickle.dumps(rec)) == rec
+    line = record_to_json(rec)
+    assert '"nagao":{}' in line and '"points":[]' in line and '"provenance":[]' in line
+    assert record_from_json(line) == rec
+
+
 def test_sweep_tally_partitions_range():
     recs = list(run_sweep(1, 300, PI_3, report_selmer_min=3, height_bound=100, torsor_bound=30))
     tally = selmer_tally(recs)
@@ -58,6 +71,16 @@ def test_sweep_tally_partitions_range():
     assert ns == sorted(ns)
     flags = squarefree_flags(300)
     assert ns == [n for n in range(1, 301) if flags[n]]
+
+
+def test_squarefree_tasks_match_factorization():
+    # the sieve covers [lo, hi] alone, in blocks; windows straddle a block
+    # boundary and reach 5e6, where hi has primes above isqrt(hi)
+    block = pipeline._SIEVE_BLOCK
+    for lo, hi in ((1, 300), (block - 20, block + 20), (2 * block - 1, 2 * block), (99_990, 100_010),
+                   (4_999_900, 5_000_000), (7, 3)):
+        want = [(n, tuple(factorize(n).primes())) for n in range(lo, hi + 1) if squarefree_part(n) == n]
+        assert list(pipeline._squarefree_tasks(lo, hi)) == want, (lo, hi)
 
 
 def test_sweep_records_satisfy_bounds():

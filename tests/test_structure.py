@@ -101,3 +101,32 @@ def test_one_point_sieve():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_maybe_square"
     ]
     assert len(callers) == 1, callers
+
+
+def _callers(tree, name):
+    """The innermost enclosing function of each call of name, None at module
+    level."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == name:
+                found.append(function)
+            visit(child, child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_local_verdict_fill():
+    # outside its own recursion the p-adic engine _zp runs only where
+    # _qp_solvable fills its verdict table, so no route bypasses the table
+    callers = {
+        (path.name, function.name if function else None): function
+        for path in MODULES
+        for function in _callers(_tree(path), "_zp")
+        if function is None or function.name != "_zp"
+    }
+    assert list(callers) == [("descent.py", "_qp_solvable")], sorted(callers, key=str)
+    fill = callers["descent.py", "_qp_solvable"]
+    assert any(isinstance(node, ast.Name) and node.id == "_QP_VERDICTS" for node in ast.walk(fill))
