@@ -79,15 +79,22 @@ INFINITY = PointQ.infinity()
 
 @dataclass(frozen=True)
 class CurveQ:
-    """E_{n,theta} with exact integer coefficients y^2 = x^3 + a2 x^2 + a4 x."""
+    """E_{n,theta} with exact integer coefficients y^2 = x^3 + a2 x^2 + a4 x,
+    and bad_primes, the support of disc in ascending order, from which the
+    descent reads every place and square class."""
 
     n: int
     theta: ThetaParams
     a2: int
     a4: int
     disc: int
-    bad_primes: frozenset[int]
+    bad_primes: tuple[int, ...]
     n_factors: Factorization = field(repr=False)
+
+    def side(self, dual: bool) -> tuple[int, int]:
+        """(a, b) of y^2 = x(x^2 + a x + b): (a2, a4) for E, or (-2 a2,
+        a2^2 - 4 a4) for its 2-isogenous curve when dual."""
+        return (-2 * self.a2, self.a2 * self.a2 - 4 * self.a4) if dual else (self.a2, self.a4)
 
     @property
     def two_torsion_x(self) -> tuple[int, int, int]:
@@ -123,7 +130,7 @@ def build_curve(n: int, theta: ThetaParams, n_factors: Factorization | None = No
     # disc = 64 r^2 n^6 (r^2-s^2)^2, so support is {2} u supp(r) u supp(r^2-s^2) u supp(n)
     bad = {2} | set(n_factors.primes())
     bad.update(factorize(r * r * theta.alpha_sq).primes())
-    return CurveQ(n, theta, a2, a4, disc, frozenset(bad), n_factors)
+    return CurveQ(n, theta, a2, a4, disc, tuple(sorted(bad)), n_factors)
 
 
 def is_on_curve(P: PointQ, E: CurveQ) -> bool:
@@ -169,11 +176,14 @@ def scalar_mul(k: int, P: PointQ, E: CurveQ) -> PointQ:
     return R
 
 
-def is_torsion(P: PointQ, E: CurveQ, max_order: int = 12) -> bool:
+_MAX_TORSION_ORDER = 12
+
+
+def is_torsion(P: PointQ, E: CurveQ) -> bool:
     """True iff P has finite order.
 
     By Mazur's theorem rational torsion has order at most 12, so checking the
-    first max_order multiples decides the question exactly.  Curves in this
+    first 12 multiples decides the question exactly.  Curves in this
     family usually have torsion exactly (Z/2)^2, but a few tiny n (such as
     n = 1) carry points of order 4 that would otherwise masquerade as rank
     evidence.
@@ -181,7 +191,7 @@ def is_torsion(P: PointQ, E: CurveQ, max_order: int = 12) -> bool:
     if P.is_infinity:
         return True
     Q = P
-    for _ in range(max_order - 1):
+    for _ in range(_MAX_TORSION_ORDER - 1):
         Q = add(Q, P, E)
         if Q.is_infinity:
             return True

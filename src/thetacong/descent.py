@@ -1,6 +1,8 @@
-"""Descent via 2-isogeny for curves y^2 = x(x^2 + ax + b).
+"""Descent via 2-isogeny on the curve E: y^2 = x(x^2 + ax + b) itself, and
+on its 2-isogenous curve E.side(dual=True).
 
-Provides square classes in Q*/(Q*)^2 (canonical signed squarefree ints),
+Nothing here factors: every place and every square class in Q*/(Q*)^2 (a
+canonical signed squarefree int) is read off E.bad_primes.  Provides
 homogeneous spaces w^2 = d u^4 + a u^2 v^2 + (b/d) v^4 with local
 solvability tests (a sign test at R, and at every prime, 2 included, one
 Hensel recursion over the residues, which at p >= 101 finds its roots by the
@@ -24,41 +26,32 @@ from fractions import Fraction
 
 import numpy as np
 
+# factorize is re-exported, not called: perfbench/selftest.py checks that the
+# tracer wraps it under every module that holds it, descent included.
 from .arith import factorize, is_square, legendre, sqrt_mod, valuation
 from .curves import CurveQ, PointQ, is_on_curve, is_torsion
 
 # ---------------------------------------------------------------------------
 # square classes
 
-def square_class_int(m: int, hint_primes=()) -> int:
-    """Canonical representative of m in Q*/(Q*)^2: the signed squarefree part.
-
-    hint_primes are stripped first; if the remaining cofactor is a perfect
-    square no further factoring is needed (true for coordinates of rational
-    points, whose class support lies in the bad primes).
-    """
+def _square_class(q: Fraction | int, places) -> int:
+    """Signed squarefree representative of the rational q != 0 in Q*/(Q*)^2,
+    read off places; ValueError unless they hold every prime of odd exponent,
+    as E.bad_primes does for x - e_i at a point of E (Silverman, AEC X.1.4)."""
+    m = q.numerator * q.denominator
     if m == 0:
         raise ValueError("0 has no square class")
-    sign = 1 if m > 0 else -1
-    n = abs(m)
-    d = 1
-    for p in hint_primes:
+    d = -1 if m < 0 else 1
+    for p in places:
         e = 0
-        while n % p == 0:
-            n //= p
+        while m % p == 0:
+            m //= p
             e += 1
         if e & 1:
             d *= p
-    if n == 1 or is_square(n):
-        return sign * d
-    return sign * d * factorize(n).squarefree_part()
-
-
-def square_class(q: Fraction | int, hint_primes=()) -> int:
-    """Square class of a nonzero rational (class of numerator * denominator)."""
-    if isinstance(q, Fraction):
-        return square_class_int(q.numerator * q.denominator, hint_primes)
-    return square_class_int(q, hint_primes)
+    if not is_square(abs(m)):
+        raise ValueError(f"the places {tuple(places)} miss a prime of odd exponent in {q}")
+    return d
 
 
 def class_mul(d1: int, d2: int) -> int:
@@ -68,43 +61,13 @@ def class_mul(d1: int, d2: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# isogeny data and torsors
-
-@dataclass(frozen=True)
-class IsogenyPair:
-    """E: y^2 = x(x^2 + ax + b) and its 2-isogenous partner (-2a, a^2 - 4b),
-    with their bad places, ascending: 2 and every prime of b and of a^2 - 4b.
-    The descent reads its primes from places and never factors b or a^2 - 4b."""
-
-    a: int
-    b: int
-    places: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.b == 0 or self.a * self.a - 4 * self.b == 0:
-            raise ValueError("degenerate curve")
-        _support(2 * self.b * self.b_dual, self.places)
-
-    @property
-    def a_dual(self) -> int:
-        return -2 * self.a
-
-    @property
-    def b_dual(self) -> int:
-        return self.a * self.a - 4 * self.b
-
-    def side(self, dual: bool) -> tuple[int, int]:
-        """(a, b) of E, or of its isogenous partner when dual."""
-        return (self.a_dual, self.b_dual) if dual else (self.a, self.b)
-
-    @staticmethod
-    def from_curve(E: CurveQ) -> "IsogenyPair":
-        return IsogenyPair(E.a2, E.a4, tuple(sorted(E.bad_primes)))
-
+# torsors
 
 def _support(m: int, places) -> list[int]:
-    """The places that divide m; raises ValueError unless they are all of
-    its primes (dividing them out leaves +-1)."""
+    """The places that divide m != 0; raises ValueError unless they are all
+    of its primes (dividing them out leaves +-1)."""
+    if m == 0:
+        raise ValueError("0 has no prime support")
     primes = []
     for p in places:
         if m % p == 0:
@@ -339,10 +302,14 @@ def _shift_scale(g: list[int], r: int, p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Selmer sets
 
-def _signed_squarefree_divisors(b: int, places) -> list[int]:
+def _torsor_classes(a: int, b: int, places) -> list[int]:
+    """Each signed squarefree d | b, ordered by |d| and then sign; ValueError
+    unless places hold every prime of 2 b (a^2 - 4b), where a torsor of (a, b)
+    can fail to be locally solvable."""
     divs = [1]
-    for p in _support(b, places):
-        divs += [d * p for d in divs]
+    for p in _support(2 * b * (a * a - 4 * b), places):
+        if b % p == 0:
+            divs += [d * p for d in divs]
     return sorted((s * d for d in divs for s in (1, -1)), key=lambda d: (abs(d), d < 0))
 
 
@@ -358,24 +325,24 @@ def _local_verdicts(T: Torsor, places: tuple[int, ...]) -> list[tuple[str | int,
     return verdicts
 
 
-def torsor_verdicts(pair: IsogenyPair, dual: bool = False) -> list[tuple[int, list[tuple[str | int, bool]]]]:
+def torsor_verdicts(E: CurveQ, dual: bool = False) -> list[tuple[int, list[tuple[str | int, bool]]]]:
     """Every torsor of one isogeny direction, as (d, local verdicts) for each
     signed squarefree d | b, decided as selmer_set decides them."""
-    a, b = pair.side(dual)
-    return [(d, _local_verdicts(Torsor.build(d, a, b), pair.places))
-            for d in _signed_squarefree_divisors(b, pair.places)]
+    a, b = E.side(dual)
+    return [(d, _local_verdicts(Torsor.build(d, a, b), E.bad_primes))
+            for d in _torsor_classes(a, b, E.bad_primes)]
 
 
 def selmer_set(a: int, b: int, places: tuple[int, ...]) -> frozenset[int]:
     """All squarefree d | b whose torsor is solvable at R and at every place.
 
-    places must hold 2 and every prime of b and of a^2 - 4b (as
-    IsogenyPair.places does).  Uses the subgroup structure of the answer to
-    skip cosets that are already decided.
+    places must hold 2 and every prime of b and of a^2 - 4b, as
+    CurveQ.bad_primes does; ValueError otherwise.  Uses the subgroup
+    structure of the answer to skip cosets that are already decided.
     """
     members = {1}
     nonmembers: set[int] = set()
-    for d in _signed_squarefree_divisors(b, places):
+    for d in _torsor_classes(a, b, places):
         if d in members or d in nonmembers:
             continue
         if any(class_mul(d, s) in nonmembers for s in members):
@@ -388,10 +355,10 @@ def selmer_set(a: int, b: int, places: tuple[int, ...]) -> frozenset[int]:
     return frozenset(members)
 
 
-def phi_selmer(pair: IsogenyPair, dual: bool = False) -> frozenset[int]:
-    """S^phi (dual=False: torsors of (a, b), bounding E(Q)/phi-hat E'(Q));
-    dual=True uses (a_dual, b_dual)."""
-    return selmer_set(*pair.side(dual), pair.places)
+def phi_selmer(E: CurveQ, dual: bool = False) -> frozenset[int]:
+    """S^phi (dual=False: torsors of (a2, a4), bounding E(Q)/phi-hat E'(Q));
+    dual=True uses the isogenous curve E.side(True)."""
+    return selmer_set(*E.side(dual), E.bad_primes)
 
 
 def _rank_from_sets(s1: frozenset[int], s2: frozenset[int]) -> int:
@@ -404,8 +371,7 @@ def _rank_from_sets(s1: frozenset[int], s2: frozenset[int]) -> int:
 
 def selmer_rank(E: CurveQ) -> int:
     """log2(|S^phi| * |S^phi-hat|) - 2; an upper bound for the rank."""
-    pair = IsogenyPair.from_curve(E)
-    return _rank_from_sets(phi_selmer(pair), phi_selmer(pair, dual=True))
+    return _rank_from_sets(phi_selmer(E), phi_selmer(E, dual=True))
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +386,7 @@ def descent_image(P: PointQ, E: CurveQ) -> tuple[int, int, int]:
     """
     if P.is_infinity:
         raise ValueError("descent image of the point at infinity is trivial; pass affine points")
-    hint = sorted(E.bad_primes)
-    classes = [None if P.x == e else square_class(P.x - e, hint) for e in E.two_torsion_x]
+    classes = [None if P.x == e else _square_class(P.x - e, E.bad_primes) for e in E.two_torsion_x]
     if None in classes:
         classes[classes.index(None)] = class_mul(*(cl for cl in classes if cl is not None))
     t1, t2, t3 = classes
@@ -442,23 +407,16 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def _triples_to_rows(triples: list[tuple[int, int, int]], primes: list[int]) -> list[int]:
-    """F2 rows of the class triples: a sign bit and one bit per prime, for
-    each of the three classes; raises ValueError on a class with a prime
-    outside primes."""
-    width = len(primes) + 1  # bit 0 is the sign
-
-    def class_bits(cl: int) -> int:
-        bits = 1 if cl < 0 else 0
-        for p in _support(cl, primes):
-            bits |= 1 << (primes.index(p) + 1)
-        return bits
-
+def _triples_to_rows(triples: list[tuple[int, int, int]], primes: tuple[int, ...]) -> list[int]:
+    """F2 rows of the class triples, each class squarefree over primes: a
+    sign bit and one bit per prime, for each of the three classes."""
     rows = []
     for t in triples:
         row = 0
-        for k, cl in enumerate(t):
-            row |= class_bits(cl) << (k * width)
+        for cl in t:
+            row = row << 1 | (cl < 0)
+            for p in primes:
+                row = row << 1 | (cl % p == 0)
         rows.append(row)
     return rows
 
@@ -474,7 +432,7 @@ def rank_lower_bound(points: list[PointQ], E: CurveQ) -> int:
     torsion_imgs = [descent_image(T, E) for T in torsion_pts]
     point_imgs = [descent_image(P, E) for P in finite]
     # a point of E has its classes supported on the bad primes
-    rows = _triples_to_rows(torsion_imgs + point_imgs, sorted(E.bad_primes))
+    rows = _triples_to_rows(torsion_imgs + point_imgs, E.bad_primes)
     full_rank = _gf2_rank(rows)
     # The torsion subgroup T always contributes exactly 2 dimensions to
     # E(Q)/2E(Q): T contains the full 2-torsion, so T/2T = T[2] = (Z/2)^2,
@@ -526,28 +484,29 @@ def _torsor_points(T: Torsor, umax: int, vmax: int, k: int = 1):
                 yield u, v, math.isqrt(val)
 
 
-def _x_points(pair: IsogenyPair, mmax: int, emax: int):
+def _x_points(E: CurveQ, mmax: int, emax: int):
     """Points (m/e^2, w/e^3), w > 0, 0 < |m| <= mmax, 1 <= e <= emax, gcd(m, e)
     = 1.  The squarefree part d of m divides gcd(m, m^2 + a e^2 m + b e^4) =
     gcd(m, b), and m = d u^2 gives w^2 = d^2 u^2 (d u^4 + a u^2 e^2 + (b/d) e^4);
     every class d runs, not only the Selmer set."""
-    for d in _signed_squarefree_divisors(pair.b, pair.places):
+    for d in _torsor_classes(E.a2, E.a4, E.bad_primes):
         if abs(d) <= mmax:
-            T = Torsor.build(d, pair.a, pair.b)
+            T = Torsor.build(d, E.a2, E.a4)
             for u, v, r in _torsor_points(T, math.isqrt(mmax // abs(d)), emax, d):
                 yield PointQ(Fraction(d * u * u, v * v), Fraction(abs(d) * u * r, v**3))
 
 
-def _selmer_points(pair: IsogenyPair, selmer_sets, bound: int):
+def _selmer_points(E: CurveQ, selmer_sets, bound: int):
     """Points (d u^2/v^2, d u r/v^3) from coprime 1 <= u, v <= bound on the
     torsors of the (forward, dual) Selmer sets; dual hits are pulled back
     through the dual isogeny E' -> E."""
     for dual, S in zip((False, True), selmer_sets):
+        a, b = E.side(dual)
         for d in S:
-            for u, v, r in _torsor_points(Torsor.build(d, *pair.side(dual)), bound, bound):
+            for u, v, r in _torsor_points(Torsor.build(d, a, b), bound, bound):
                 X, Y = Fraction(d * u * u, v * v), Fraction(d * u * r, v**3)
                 if dual:
-                    X, Y = Y * Y / (4 * X * X), Y * (X * X - pair.b_dual) / (8 * X * X)
+                    X, Y = Y * Y / (4 * X * X), Y * (X * X - b) / (8 * X * X)
                 yield PointQ(X, Y)
 
 
@@ -557,11 +516,10 @@ def search_points(E: CurveQ, height_bound: int, torsor_bound: int | None = None)
     torsor_bound on the Selmer torsors of both directions, with y = d u w /
     v^3, so a point may come with both signs of y.  torsor_bound defaults to
     height_bound; 0 skips (ii)."""
-    return _search_points(E, IsogenyPair.from_curve(E), height_bound, torsor_bound)
+    return _search_points(E, height_bound, torsor_bound)
 
 
-def _search_points(E: CurveQ, pair: IsogenyPair, height_bound: int, torsor_bound: int | None,
-                   selmer_sets=None) -> list[PointQ]:
+def _search_points(E: CurveQ, height_bound: int, torsor_bound: int | None, selmer_sets=None) -> list[PointQ]:
     """search_points on the (forward, dual) Selmer sets, built if not given."""
     if height_bound < 1:
         raise ValueError("height_bound must be >= 1")
@@ -569,11 +527,11 @@ def _search_points(E: CurveQ, pair: IsogenyPair, height_bound: int, torsor_bound
         torsor_bound = height_bound
     if torsor_bound < 0:
         raise ValueError("torsor_bound must be >= 0")
-    parts = [_x_points(pair, height_bound, height_bound)]
+    parts = [_x_points(E, height_bound, height_bound)]
     if torsor_bound > 0:
         if selmer_sets is None:
-            selmer_sets = (phi_selmer(pair), phi_selmer(pair, dual=True))
-        parts.append(_selmer_points(pair, selmer_sets, torsor_bound))
+            selmer_sets = (phi_selmer(E), phi_selmer(E, dual=True))
+        parts.append(_selmer_points(E, selmer_sets, torsor_bound))
     found = {P for part in parts for P in part if P.y != 0 and is_on_curve(P, E) and not is_torsion(P, E)}
     return sorted(found, key=lambda P: (max(abs(P.x.numerator), P.x.denominator), P.x, P.y))
 
@@ -581,7 +539,7 @@ def _search_points(E: CurveQ, pair: IsogenyPair, height_bound: int, torsor_bound
 def has_small_nontorsion_point(E: CurveQ, xheight: int) -> bool:
     """Any non-torsion point with x = m/e^2, |m|, e^2 <= xheight?  This is
     part (i) of search_points with |m| <= xheight and e <= isqrt(xheight)."""
-    return any(not is_torsion(P, E) for P in _x_points(IsogenyPair.from_curve(E), xheight, math.isqrt(xheight)))
+    return any(not is_torsion(P, E) for P in _x_points(E, xheight, math.isqrt(xheight)))
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +557,7 @@ class DescentReport:
 def full_descent(E: CurveQ, height_bound: int = 1000, torsor_bound: int | None = None) -> DescentReport:
     """Selmer sets, Selmer rank, bounded point search, and the rank lower
     bound certified by the found points."""
-    pair = IsogenyPair.from_curve(E)
-    s1, s2 = phi_selmer(pair), phi_selmer(pair, dual=True)
-    pts = _search_points(E, pair, height_bound, torsor_bound, (s1, s2))
+    s1, s2 = phi_selmer(E), phi_selmer(E, dual=True)
+    pts = _search_points(E, height_bound, torsor_bound, (s1, s2))
     lb = rank_lower_bound(pts, E)
     return DescentReport(s1, s2, _rank_from_sets(s1, s2), lb, pts)

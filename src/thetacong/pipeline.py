@@ -32,7 +32,6 @@ from .curves import (
 )
 from .descent import (
     REAL_PLACE,
-    IsogenyPair,
     full_descent,
     has_small_nontorsion_point,
     rank_lower_bound,
@@ -132,13 +131,11 @@ class CheckpointedWriter:
         self.fh.close()
 
 
-def _emit(records, writer: CheckpointedWriter | None, progress):
-    """Persist, report and yield each record in turn."""
+def _emit(records, writer: CheckpointedWriter | None):
+    """Persist and yield each record in turn."""
     for rec in records:
         if writer is not None:
             writer.write(rec)
-        if progress is not None:
-            progress(rec)
         yield rec
 
 
@@ -191,11 +188,10 @@ def run_sweep(
     torsor_bound: int = 100,
     workers: int = 1,
     writer: CheckpointedWriter | None = None,
-    progress=None,
 ):
     """Generator of Selmer-rank records for the squarefree n in [lo, hi], in
-    increasing n, each written to ``writer`` and passed to ``progress``
-    before it is yielded; n that a resumed writer holds are skipped. Rows
+    increasing n, each written to ``writer`` before it is yielded; n that a
+    resumed writer holds are skipped. Rows
     with selmer >= report_selmer_min also get a point search and a rank
     lower bound. workers > 1 computes the curves in a process pool."""
     tasks = (t for t in _squarefree_tasks(lo, hi) if writer is None or not writer.skip(t[0]))
@@ -203,9 +199,9 @@ def run_sweep(
                   height_bound=height_bound, torsor_bound=torsor_bound)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            yield from _emit(pool.imap(one, tasks, chunksize=64), writer, progress)
+            yield from _emit(pool.imap(one, tasks, chunksize=64), writer)
     else:
-        yield from _emit(map(one, tasks), writer, progress)
+        yield from _emit(map(one, tasks), writer)
 
 
 def selmer_tally(records) -> dict:
@@ -216,9 +212,9 @@ def selmer_tally(records) -> dict:
     return {"cells": tuple(cells), "total": sum(cells)}
 
 
-def run_table1(hi: int, theta: ThetaParams, workers: int = 1, progress=None) -> dict:
+def run_table1(hi: int, theta: ThetaParams, workers: int = 1) -> dict:
     """Selmer tally for squarefree n <= hi (no point searches)."""
-    recs = run_sweep(1, hi, theta, report_selmer_min=10**9, workers=workers, progress=progress)
+    recs = run_sweep(1, hi, theta, report_selmer_min=10**9, workers=workers)
     return selmer_tally(recs)
 
 
@@ -237,7 +233,6 @@ def run_hunt(
     pmin: int = 2,
     qmin: int = 2,
     writer: CheckpointedWriter | None = None,
-    progress=None,
 ):
     """Kan-grid candidates -> staged Nagao filter -> Selmer threshold ->
     point search; survivors are yielded (and persisted) in n-order."""
@@ -258,7 +253,7 @@ def run_hunt(
                 rec.rank_lb = rank_lower_bound(rec.points, E)
                 yield rec
 
-    yield from _emit(survivors(), writer, progress)
+    yield from _emit(survivors(), writer)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +280,7 @@ class VerifyReport:
         self.results.append(CheckResult(entry, check, ok, detail))
 
 
-def run_verify(include_selmer: bool = True, include_small_anchors: bool = True) -> VerifyReport:
+def run_verify() -> VerifyReport:
     """Verify every embedded published item: coefficients, generators
     on-curve, certified rank, and stated Selmer ranks."""
     report = VerifyReport()
@@ -304,7 +299,7 @@ def run_verify(include_selmer: bool = True, include_small_anchors: bool = True) 
         report.add(name, "generators-on-curve", all(oncurve), f"{sum(oncurve)}/{len(pts)}")
         lb = rank_lower_bound(pts, E)
         report.add(name, "rank-lower-bound", lb == entry.rank, f"lb={lb} published={entry.rank}")
-        if include_selmer and entry.selmer is not None:
+        if entry.selmer is not None:
             s = selmer_rank(E)
             report.add(name, "selmer-rank", s == entry.selmer, f"s={s} published={entry.selmer}")
         seen = set()
@@ -312,18 +307,17 @@ def run_verify(include_selmer: bool = True, include_small_anchors: bool = True) 
             if c in seen:
                 report.anomalies.append(f"{name}: companion {c} listed more than once")
             seen.add(c)
-    if include_small_anchors:
-        for n, theta, rank in dataset.SMALL_RANKS:
-            name = f"{theta.name} n={n}"
-            E = build_curve(n, theta)
-            s = selmer_rank(E)
-            pts = search_points(E, 400, 60)
-            lb = rank_lower_bound(pts, E)
-            report.add(name, "rank-pinned", lb == rank and s == rank, f"lb={lb} selmer={s} published={rank}")
-        for n, theta, selmer in dataset.EXTRA_SELMER:
-            name = f"{theta.name} n={n}"
-            s = selmer_rank(build_curve(n, theta))
-            report.add(name, "selmer-rank", s == selmer, f"s={s} published={selmer}")
+    for n, theta, rank in dataset.SMALL_RANKS:
+        name = f"{theta.name} n={n}"
+        E = build_curve(n, theta)
+        s = selmer_rank(E)
+        pts = search_points(E, 400, 60)
+        lb = rank_lower_bound(pts, E)
+        report.add(name, "rank-pinned", lb == rank and s == rank, f"lb={lb} selmer={s} published={rank}")
+    for n, theta, selmer in dataset.EXTRA_SELMER:
+        name = f"{theta.name} n={n}"
+        s = selmer_rank(build_curve(n, theta))
+        report.add(name, "selmer-rank", s == selmer, f"s={s} published={selmer}")
     return report
 
 
@@ -335,17 +329,16 @@ def run_analyze(n: int, theta: ThetaParams, height_bound: int = 1000, torsor_bou
     E = build_curve(n, theta)
     lines = [f"{E.label()}: y^2 = x^3 {E.a2:+d}*x^2 {E.a4:+d}*x"]
     lines.append(f"  disc = {E.disc}")
-    lines.append(f"  bad primes: {sorted(E.bad_primes)}")
+    lines.append(f"  bad primes: {list(E.bad_primes)}")
     lines.append(f"  2-torsion x: {E.two_torsion_x}")
     for N in (1000, 10000):
         lines.append(f"  S({N}) = {nagao_sum(E, N):.4f}")
     rep = full_descent(E, height_bound, torsor_bound)
-    pair = IsogenyPair.from_curve(E)
     for dual, sel in ((False, rep.selmer_phi), (True, rep.selmer_phi_dual)):
-        a, b = pair.side(dual)
+        a, b = E.side(dual)
         side = "dual" if dual else "forward"
         lines.append(f"  {side} torsors (a={a}, b={b}); Selmer set {sorted(sel, key=abs)}")
-        for d, verdicts in torsor_verdicts(pair, dual):
+        for d, verdicts in torsor_verdicts(E, dual):
             marks = (f"{'R' if place == REAL_PLACE else place}:{'ok' if ok else 'no'}" for place, ok in verdicts)
             lines.append(f"    d={d:>6}  {' '.join(marks)}")
     lines.append(f"  selmer rank = {rep.selmer_rank}")

@@ -34,7 +34,6 @@ from thetacong.dataset import (
     TABLE1,
 )
 from thetacong.descent import (
-    IsogenyPair,
     class_mul,
     descent_image,
     phi_selmer,
@@ -246,9 +245,9 @@ def test_criterion_8_property_suites(capsys):
 
     # Selmer subgroup closure
     for n, theta in ((646, PI_3), (12710, TWO_PI_3)):
-        pair = IsogenyPair.from_curve(build_curve(n, theta))
+        En = build_curve(n, theta)
         for dual in (False, True):
-            S = phi_selmer(pair, dual=dual)
+            S = phi_selmer(En, dual=dual)
             assert 1 in S
             assert all(class_mul(d1, d2) in S for d1 in S for d2 in S)
     notes.append("Selmer closure")

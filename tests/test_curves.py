@@ -72,7 +72,8 @@ def test_disc_canonical_formula():
         for theta in (PI_3, TWO_PI_3):
             E = build_curve(n, theta)
             assert E.disc == 2304 * n**6
-            assert E.bad_primes <= {2, 3} | set(factorize(n).primes())
+            assert set(E.bad_primes) <= {2, 3} | set(factorize(n).primes())
+            assert list(E.bad_primes) == sorted(set(E.bad_primes))
 
 
 def test_cubic_factors_through_torsion_roots():

@@ -2,6 +2,7 @@
 independent p-adic brute-force oracle), Selmer sets and ranks, descent images,
 rank lower bounds, and the bounded point search."""
 
+import dataclasses
 import math
 import os
 import pathlib
@@ -25,10 +26,9 @@ from thetacong.curves import (
     is_torsion,
     scalar_mul,
 )
-from thetacong.dataset import find_published
+from thetacong.dataset import PUBLISHED, find_published
 from thetacong.descent import (
     REAL_PLACE,
-    IsogenyPair,
     Torsor,
     class_mul,
     descent_image,
@@ -40,8 +40,6 @@ from thetacong.descent import (
     search_points,
     selmer_rank,
     selmer_set,
-    square_class,
-    square_class_int,
     torsor_verdicts,
 )
 
@@ -50,34 +48,40 @@ from thetacong.descent import (
 
 
 def test_square_class_int():
-    assert square_class_int(54) == 6
-    assert square_class_int(-722) == -2
-    assert square_class_int(49) == 1
-    assert square_class_int(-1) == -1
+    assert D._square_class(54, (2, 3)) == 6
+    assert D._square_class(-722, (2, 19)) == -2
+    assert D._square_class(49, ()) == 1
+    assert D._square_class(-1, (2,)) == -1
     with pytest.raises(ValueError):
-        square_class_int(0)
+        D._square_class(0, (2, 3))
 
 
 def test_square_class_rational():
-    assert square_class(Fraction(4, 9)) == 1
-    assert square_class(Fraction(-722, 25)) == -2
-    assert square_class(Fraction(2, 3)) == 6
+    assert D._square_class(Fraction(4, 9), ()) == 1
+    assert D._square_class(Fraction(-722, 25), (2, 19)) == -2
+    assert D._square_class(Fraction(2, 3), (2, 3)) == 6
 
 
-def test_square_class_hints_do_not_change_answer():
+def test_square_class_matches_squarefree_part():
+    # any power of each place times the square of a cofactor, whose primes
+    # may lie outside the places
     rng = random.Random(5)
+    places = (2, 3, 5, 19)
     for _ in range(300):
-        m = rng.randrange(-10**6, 10**6)
-        if m == 0:
-            continue
-        plain = square_class_int(m)
-        hinted = square_class_int(m, hint_primes=(2, 3, 5, 19))
-        assert plain == hinted == squarefree_part(m)
+        m = rng.choice((1, -1)) * math.prod(p ** rng.randrange(6) for p in places)
+        m *= rng.randrange(1, 10**4) ** 2
+        assert D._square_class(m, places) == squarefree_part(m), m
+
+
+def test_square_class_rejects_an_odd_power_outside_the_places():
+    for q in (7, -28, 2 * 3 * 7**3, Fraction(5, 49 * 11)):
+        with pytest.raises(ValueError, match="miss"):
+            D._square_class(q, (2, 3, 5))
 
 
 def test_class_mul_group_law():
     rng = random.Random(6)
-    classes = [square_class_int(rng.randrange(-500, 500) or 1) for _ in range(40)]
+    classes = [squarefree_part(rng.randrange(-500, 500) or 1) for _ in range(40)]
     for d1 in classes[:12]:
         assert class_mul(d1, 1) == d1
         assert class_mul(d1, d1) == 1
@@ -91,16 +95,14 @@ def test_class_mul_group_law():
 # isogeny pairs and torsors
 
 
-def test_isogeny_pair_family_shape():
+def test_curve_side_family_shape():
     E = build_curve(646, PI_3)
-    pair = IsogenyPair.from_curve(E)
-    assert (pair.a, pair.b) == (1292, -1251948)
-    assert pair.a_dual == -2584
-    assert pair.b_dual == 16 * 646 * 646
+    assert E.side(False) == (1292, -1251948)
+    assert E.side(True) == (-2584, 16 * 646 * 646)
     with pytest.raises(ValueError):
-        IsogenyPair(2, 0)
+        selmer_set(2, 0, (2,))
     with pytest.raises(ValueError):
-        IsogenyPair(2, 1)  # a^2 - 4b = 0
+        selmer_set(2, 1, (2,))  # a^2 - 4b = 0
 
 
 def test_torsor_build_and_value():
@@ -239,10 +241,9 @@ def test_local_solvability_oracle_on_family_torsors():
     # real torsors of E_{6,pi/3} and E_{646,pi/3} at their bad primes
     for n in (6, 646):
         E = build_curve(n, PI_3)
-        pair = IsogenyPair.from_curve(E)
-        for d in D._signed_squarefree_divisors(pair.b, pair.places):
-            T = Torsor.build(d, pair.a, pair.b)
-            for p in sorted(E.bad_primes):
+        for d in D._torsor_classes(E.a2, E.a4, E.bad_primes):
+            T = Torsor.build(d, E.a2, E.a4)
+            for p in E.bad_primes:
                 expected = _oracle_solvable(T, p)
                 if expected is not None:
                     assert locally_solvable(T, p) == expected, (n, d, p)
@@ -496,12 +497,12 @@ def test_verdict_table_matches_direct_route_on_desk_torsors(monkeypatch):
         for n in range(1, 3001):
             if not flags[n]:
                 continue
-            pair = IsogenyPair.from_curve(build_curve(n, theta))
+            E = build_curve(n, theta)
             for dual in (False, True):
-                a, b = pair.side(dual)
-                for d in D._signed_squarefree_divisors(b, pair.places):
+                a, b = E.side(dual)
+                for d in D._torsor_classes(a, b, E.bad_primes):
                     T = Torsor.build(d, a, b)
-                    for p in pair.places:
+                    for p in E.bad_primes:
                         if p < D._SYMBOLIC_MIN_P:
                             assert locally_solvable(T, p) == _direct_verdict(T, p), (n, theta, dual, d, p)
                             checked += 1
@@ -522,10 +523,9 @@ def test_global_point_certifies_torsor():
     # P1 = (-722, 34656) on E_{646,pi/3} has first descent class -2, so the
     # d = -2 torsor must be solvable everywhere
     E = build_curve(646, PI_3)
-    pair = IsogenyPair.from_curve(E)
-    T = Torsor.build(-2, pair.a, pair.b)
+    T = Torsor.build(-2, E.a2, E.a4)
     assert locally_solvable(T, REAL_PLACE)
-    for p in sorted(E.bad_primes):
+    for p in E.bad_primes:
         assert locally_solvable(T, p)
 
 
@@ -536,19 +536,18 @@ def test_global_point_certifies_torsor():
 def test_selmer_set_contains_identity_and_b_class():
     for n, theta in ((6, PI_3), (646, PI_3), (221, TWO_PI_3), (14, TWO_PI_3)):
         E = build_curve(n, theta)
-        pair = IsogenyPair.from_curve(E)
         for dual in (False, True):
-            b = pair.b_dual if dual else pair.b
-            S = phi_selmer(pair, dual=dual)
+            b = E.side(dual)[1]
+            S = phi_selmer(E, dual=dual)
             assert 1 in S
             assert squarefree_part(b) in S
 
 
 def test_selmer_set_subgroup_closure():
     for n, theta in ((6, PI_3), (39, PI_3), (646, PI_3), (221, TWO_PI_3), (12710, TWO_PI_3)):
-        pair = IsogenyPair.from_curve(build_curve(n, theta))
+        E = build_curve(n, theta)
         for dual in (False, True):
-            S = phi_selmer(pair, dual=dual)
+            S = phi_selmer(E, dual=dual)
             for d1 in S:
                 for d2 in S:
                     assert class_mul(d1, d2) in S
@@ -570,29 +569,29 @@ def test_selmer_rank_published_small():
 
 
 def test_selmer_order_product_e646():
-    pair = IsogenyPair.from_curve(build_curve(646, PI_3))
-    s1 = phi_selmer(pair, dual=False)
-    s2 = phi_selmer(pair, dual=True)
+    E = build_curve(646, PI_3)
+    s1 = phi_selmer(E, dual=False)
+    s2 = phi_selmer(E, dual=True)
     assert len(s1) * len(s2) == 2 ** (3 + 2)
 
 
 def test_selmer_order_product_e221():
-    pair = IsogenyPair.from_curve(build_curve(221, TWO_PI_3))
-    s1 = phi_selmer(pair, dual=False)
-    s2 = phi_selmer(pair, dual=True)
+    E = build_curve(221, TWO_PI_3)
+    s1 = phi_selmer(E, dual=False)
+    s2 = phi_selmer(E, dual=True)
     assert len(s1) * len(s2) == 2**5
 
 
 def test_selmer_set_brute_reference():
     # re-derive one small Selmer set without the coset pruning
-    pair = IsogenyPair.from_curve(build_curve(39, PI_3))
-    places = pair.places
+    E = build_curve(39, PI_3)
+    places = E.bad_primes
     brute = set()
-    for d in D._signed_squarefree_divisors(pair.b, places):
-        T = Torsor.build(d, pair.a, pair.b)
+    for d in D._torsor_classes(E.a2, E.a4, places):
+        T = Torsor.build(d, E.a2, E.a4)
         if locally_solvable(T, REAL_PLACE) and all(locally_solvable(T, p) for p in places):
             brute.add(d)
-    assert brute == set(selmer_set(pair.a, pair.b, places))
+    assert brute == set(selmer_set(E.a2, E.a4, places))
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +602,23 @@ def test_descent_image_published_example():
     E = build_curve(646, PI_3)
     P = PointQ.affine(-722, 34656)
     assert descent_image(P, E) == (-2, -38, 19)
+
+
+def _oracle_descent_image(P, E):
+    # each class x - e_i by factoring, the vanishing slot completed by the
+    # product of the other two
+    classes = [squarefree_part((P.x - e).numerator * (P.x - e).denominator) for e in E.two_torsion_x if P.x != e]
+    if len(classes) == 2:
+        i = E.two_torsion_x.index(P.x)
+        classes.insert(i, squarefree_part(classes[0] * classes[1]))
+    return tuple(classes)
+
+
+def test_descent_image_matches_factoring_oracle():
+    for entry in PUBLISHED:
+        E = build_curve(entry.n, entry.theta)
+        for P in entry.generator_points() + [PointQ.affine(e, 0) for e in E.two_torsion_x]:
+            assert descent_image(P, E) == _oracle_descent_image(P, E), (entry.n, P)
 
 
 def test_descent_image_at_torsion():
@@ -712,11 +728,10 @@ def test_search_points_finds_published_x():
 def test_found_point_classes_lie_in_selmer_set():
     for n, theta in ((6, PI_3), (39, PI_3), (646, PI_3), (14, TWO_PI_3)):
         E = build_curve(n, theta)
-        pair = IsogenyPair.from_curve(E)
-        S = phi_selmer(pair, dual=False)
+        S = phi_selmer(E, dual=False)
         for P in search_points(E, 200, torsor_bound=40):
             if P.x != 0:
-                assert square_class(P.x, sorted(E.bad_primes)) in S
+                assert D._square_class(P.x, E.bad_primes) in S
 
 
 def _oracle_x_points(E, mmax, emax):
@@ -730,10 +745,9 @@ def _oracle_x_points(E, mmax, emax):
 
 def _oracle_torsor_points(E, bound):
     # every coprime (u, v) on every Selmer torsor tried exactly
-    pair = IsogenyPair.from_curve(E)
     for dual in (False, True):
-        a, b = pair.side(dual)
-        for d in phi_selmer(pair, dual):
+        a, b = E.side(dual)
+        for d in phi_selmer(E, dual):
             for u in range(1, bound + 1):
                 for v in range(1, bound + 1):
                     val = d * u**4 + a * u * u * v * v + b // d * v**4
@@ -743,7 +757,7 @@ def _oracle_torsor_points(E, bound):
                     if not dual:
                         yield PointQ(X, Y)
                     elif X and Y:
-                        yield PointQ(Y * Y / (4 * X * X), Y * (X * X - pair.b_dual) / (8 * X * X))
+                        yield PointQ(Y * Y / (4 * X * X), Y * (X * X - b) / (8 * X * X))
 
 
 def _oracle_search(E, height_bound, torsor_bound):
@@ -808,17 +822,23 @@ def test_descent_reads_places_without_factoring(monkeypatch):
 
     monkeypatch.setattr(D, "factorize", refuse)
     for E in curves:
-        pair = IsogenyPair.from_curve(E)
         assert selmer_rank(E) >= 0
         for dual in (False, True):
-            assert phi_selmer(pair, dual)
-            assert torsor_verdicts(pair, dual)
+            assert phi_selmer(E, dual)
+            assert torsor_verdicts(E, dual)
         pts = search_points(E, 200, 40)
         entry = find_published(E.n, E.theta)
         gens = entry.generator_points() if entry else []
         assert rank_lower_bound(pts + gens, E) >= len(gens)
+        # a curve whose bad_primes miss a prime of b or of a^2 - 4b
+        short = dataclasses.replace(E, bad_primes=E.bad_primes[:-1])
         with pytest.raises(ValueError, match="miss a prime"):
-            IsogenyPair(pair.a, pair.b, pair.places[:-1])
+            selmer_rank(short)
+        for dual in (False, True):
+            with pytest.raises(ValueError, match="miss a prime"):
+                phi_selmer(short, dual)
+            with pytest.raises(ValueError, match="miss a prime"):
+                torsor_verdicts(short, dual)
 
 
 def test_full_descent_report_invariants():

@@ -229,7 +229,7 @@ def test_hunt_respects_nagao_filter():
 
 
 def test_verify_report_all_green():
-    report = run_verify(include_selmer=False, include_small_anchors=False)
+    report = run_verify()
     assert report.ok
     checks = {(r.entry, r.check) for r in report.results}
     assert len([c for c in checks if c[1] == "coefficients"]) == len(PUBLISHED)

@@ -9,7 +9,7 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "thetacong"
 MODULES = sorted(SRC.glob("*.py"))
 # Imports kept only so that other code finds the name in that module.
-REEXPORTS = {"pipeline.py": {"factorize"}}
+REEXPORTS = {"pipeline.py": {"factorize"}, "descent.py": {"factorize"}}
 
 
 def _tree(path):
@@ -130,3 +130,14 @@ def test_one_local_verdict_fill():
     assert list(callers) == [("descent.py", "_qp_solvable")], sorted(callers, key=str)
     fill = callers["descent.py", "_qp_solvable"]
     assert any(isinstance(node, ast.Name) and node.id == "_QP_VERDICTS" for node in ast.walk(fill))
+
+
+def test_descent_never_factors():
+    # the descent reads every prime and square class off CurveQ.bad_primes;
+    # it holds factorize only as a re-export
+    calls = [
+        node.lineno
+        for node in ast.walk(_tree(SRC / "descent.py"))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "factorize"
+    ]
+    assert not calls, f"descent.py calls factorize on lines {calls}"
