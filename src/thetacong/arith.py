@@ -15,16 +15,22 @@ import numpy as np
 
 # The primes up to 41: trial divisors, then Miller-Rabin witnesses.  As
 # witnesses they are deterministic for all n < psi_13 = 3317044064679887385961981
-# (Sorenson & Webster); the first 12 alone fail at psi_12 ~ 3.2e23.  A witness
-# must be trial-divided first, or witness 41 would misjudge n = 41.
+# (Sorenson & Webster); the first 12 alone fail at psi_12 ~ 3.2e23, and all 13
+# at psi_13 itself.  A witness must be trial-divided first, or witness 41
+# would misjudge n = 41.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+# bases a < _LUCAS_BOUND tried by the Lucas test at or above _PSI_13
+_LUCAS_BOUND = 1000
 
 _TRIAL_BOUND = 50_000
 _small_primes: list[int] | None = None
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (valid for n < 3.3e24)."""
+    """Deterministic primality: Miller-Rabin on the primes up to 41, which
+    decides every n < psi_13; at or above psi_13 a Lucas test decides the
+    numbers that pass it."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -45,7 +51,23 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _lucas(n)
+
+
+def _lucas(n: int) -> bool:
+    """Lucas's test for odd n > 2: n is prime iff some a has order n - 1 mod
+    n, i.e. a^(n-1) = 1 and a^((n-1)/q) != 1 for each prime q | n - 1, and
+    a^(n-1) != 1 shows n composite.  The primes of n - 1 come from
+    factorize, whose own primality calls are decided the same way.
+    RuntimeError when no a < _LUCAS_BOUND decides n."""
+    m = n - 1
+    cofactors = [m // q for q in factorize(m).primes()]
+    for a in range(2, _LUCAS_BOUND):
+        if pow(a, m, n) != 1:
+            return False
+        if all(pow(a, c, n) != 1 for c in cofactors):
+            return True
+    raise RuntimeError(f"no base a < {_LUCAS_BOUND} decides whether {n} is prime")
 
 
 def primes_below(N: int) -> list[int]:
@@ -189,8 +211,8 @@ def _factor_into(n: int, out: dict[int, int], rng: random.Random) -> None:
 def factorize(m: int) -> Factorization:
     """Full factorization of a nonzero integer.
 
-    Trial division below 5e4, then deterministic Miller-Rabin certificates
-    with Brent-rho splitting (and perfect-power detection) for the cofactor.
+    Trial division below 5e4, then is_prime and Brent-rho splitting (with
+    perfect-power detection) for the cofactor.
     """
     if m == 0:
         raise ValueError("cannot factor 0")

@@ -7,10 +7,10 @@ The cubic factors as x * (x - (r-s)n) * (x + (r+s)n), so the full rational
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, factorize
+from .arith import factorize
 
 Rat = Fraction | int
 
@@ -89,7 +89,6 @@ class CurveQ:
     a4: int
     disc: int
     bad_primes: tuple[int, ...]
-    n_factors: Factorization = field(repr=False)
 
     def side(self, dual: bool) -> tuple[int, int]:
         """(a, b) of y^2 = x(x^2 + a x + b): (a2, a4) for E, or (-2 a2,
@@ -110,17 +109,12 @@ class CurveQ:
         return f"E_{{{self.n},{self.theta.name}}}"
 
 
-def build_curve(n: int, theta: ThetaParams, n_factors: Factorization | None = None) -> CurveQ:
-    """Construct E_{n,theta} for squarefree n >= 1.
-
-    Passing a precomputed factorization of n skips the squarefree check's
-    factoring work (used by the bulk sweep).
-    """
+def build_curve(n: int, theta: ThetaParams) -> CurveQ:
+    """Construct E_{n,theta} for squarefree n >= 1."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if n_factors is None:
-        n_factors = factorize(n)
-    if not n_factors.is_squarefree() or n_factors.value() != n:
+    fac = factorize(n)
+    if not fac.is_squarefree():
         raise ValueError(f"n = {n} is not squarefree")
     r, s = theta.r, theta.s
     a2 = 2 * s * n
@@ -128,9 +122,8 @@ def build_curve(n: int, theta: ThetaParams, n_factors: Factorization | None = No
     # disc of y^2 = x(x^2 + a2 x + a4): 16 a4^2 (a2^2 - 4 a4)
     disc = 16 * a4 * a4 * (a2 * a2 - 4 * a4)
     # disc = 64 r^2 n^6 (r^2-s^2)^2, so support is {2} u supp(r) u supp(r^2-s^2) u supp(n)
-    bad = {2} | set(n_factors.primes())
-    bad.update(factorize(r * r * theta.alpha_sq).primes())
-    return CurveQ(n, theta, a2, a4, disc, tuple(sorted(bad)), n_factors)
+    bad = {2, *fac.primes(), *factorize(r * r * theta.alpha_sq).primes()}
+    return CurveQ(n, theta, a2, a4, disc, tuple(sorted(bad)))
 
 
 def is_on_curve(P: PointQ, E: CurveQ) -> bool:

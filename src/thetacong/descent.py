@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -361,17 +361,14 @@ def phi_selmer(E: CurveQ, dual: bool = False) -> frozenset[int]:
     return selmer_set(*E.side(dual), E.bad_primes)
 
 
-def _rank_from_sets(s1: frozenset[int], s2: frozenset[int]) -> int:
+def selmer_rank(E: CurveQ) -> int:
+    """log2(|S^phi| * |S^phi-hat|) - 2; an upper bound for the rank."""
+    s1, s2 = phi_selmer(E), phi_selmer(E, dual=True)
     prod = len(s1) * len(s2)
     k = prod.bit_length() - 1
     if 1 << k != prod or k < 2:
         raise AssertionError(f"Selmer sizes not a valid power of two: {len(s1)}x{len(s2)}")
     return k - 2
-
-
-def selmer_rank(E: CurveQ) -> int:
-    """log2(|S^phi| * |S^phi-hat|) - 2; an upper bound for the rank."""
-    return _rank_from_sets(phi_selmer(E), phi_selmer(E, dual=True))
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +493,13 @@ def _x_points(E: CurveQ, mmax: int, emax: int):
                 yield PointQ(Fraction(d * u * u, v * v), Fraction(abs(d) * u * r, v**3))
 
 
-def _selmer_points(E: CurveQ, selmer_sets, bound: int):
+def _selmer_points(E: CurveQ, bound: int):
     """Points (d u^2/v^2, d u r/v^3) from coprime 1 <= u, v <= bound on the
-    torsors of the (forward, dual) Selmer sets; dual hits are pulled back
+    torsors of the forward and dual Selmer sets; dual hits are pulled back
     through the dual isogeny E' -> E."""
-    for dual, S in zip((False, True), selmer_sets):
+    for dual in (False, True):
         a, b = E.side(dual)
-        for d in S:
+        for d in phi_selmer(E, dual):
             for u, v, r in _torsor_points(Torsor.build(d, a, b), bound, bound):
                 X, Y = Fraction(d * u * u, v * v), Fraction(d * u * r, v**3)
                 if dual:
@@ -516,11 +513,6 @@ def search_points(E: CurveQ, height_bound: int, torsor_bound: int | None = None)
     torsor_bound on the Selmer torsors of both directions, with y = d u w /
     v^3, so a point may come with both signs of y.  torsor_bound defaults to
     height_bound; 0 skips (ii)."""
-    return _search_points(E, height_bound, torsor_bound)
-
-
-def _search_points(E: CurveQ, height_bound: int, torsor_bound: int | None, selmer_sets=None) -> list[PointQ]:
-    """search_points on the (forward, dual) Selmer sets, built if not given."""
     if height_bound < 1:
         raise ValueError("height_bound must be >= 1")
     if torsor_bound is None:
@@ -529,9 +521,7 @@ def _search_points(E: CurveQ, height_bound: int, torsor_bound: int | None, selme
         raise ValueError("torsor_bound must be >= 0")
     parts = [_x_points(E, height_bound, height_bound)]
     if torsor_bound > 0:
-        if selmer_sets is None:
-            selmer_sets = (phi_selmer(E), phi_selmer(E, dual=True))
-        parts.append(_selmer_points(E, selmer_sets, torsor_bound))
+        parts.append(_selmer_points(E, torsor_bound))
     found = {P for part in parts for P in part if P.y != 0 and is_on_curve(P, E) and not is_torsion(P, E)}
     return sorted(found, key=lambda P: (max(abs(P.x.numerator), P.x.denominator), P.x, P.y))
 
@@ -540,24 +530,3 @@ def has_small_nontorsion_point(E: CurveQ, xheight: int) -> bool:
     """Any non-torsion point with x = m/e^2, |m|, e^2 <= xheight?  This is
     part (i) of search_points with |m| <= xheight and e <= isqrt(xheight)."""
     return any(not is_torsion(P, E) for P in _x_points(E, xheight, math.isqrt(xheight)))
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-@dataclass
-class DescentReport:
-    selmer_phi: frozenset[int]
-    selmer_phi_dual: frozenset[int]
-    selmer_rank: int
-    rank_lb: int
-    points_found: list[PointQ] = field(default_factory=list)
-
-
-def full_descent(E: CurveQ, height_bound: int = 1000, torsor_bound: int | None = None) -> DescentReport:
-    """Selmer sets, Selmer rank, bounded point search, and the rank lower
-    bound certified by the found points."""
-    s1, s2 = phi_selmer(E), phi_selmer(E, dual=True)
-    pts = _search_points(E, height_bound, torsor_bound, (s1, s2))
-    lb = rank_lower_bound(pts, E)
-    return DescentReport(s1, s2, _rank_from_sets(s1, s2), lb, pts)

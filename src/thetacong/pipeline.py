@@ -17,10 +17,12 @@ import os
 from dataclasses import dataclass, field
 from functools import partial
 
+import numpy as np
+
 from . import dataset
 # factorize is re-exported: perfbench/selftest.py checks that the tracer
 # wraps it under every module that holds it, pipeline included.
-from .arith import Factorization, factorize, primes_below
+from .arith import factorize
 from .candidates import CandidateRecord, generate_candidates
 from .curves import (
     ThetaParams,
@@ -32,8 +34,8 @@ from .curves import (
 )
 from .descent import (
     REAL_PLACE,
-    full_descent,
     has_small_nontorsion_point,
+    phi_selmer,
     rank_lower_bound,
     search_points,
     selmer_rank,
@@ -77,14 +79,16 @@ def record_from_json(line: str) -> CandidateRecord:
     )
 
 
+_CKPT_INTERVAL = 64  # records written between two checkpoint flushes
+
+
 class CheckpointedWriter:
     """Appends ordered JSONL records; resumable via a sidecar .ckpt file."""
 
-    def __init__(self, path: str, config_key: str, resume: bool = False, interval: int = 64):
+    def __init__(self, path: str, config_key: str, resume: bool = False):
         self.path = path
         self.ckpt_path = path + ".ckpt"
         self.config_hash = hashlib.sha256(config_key.encode()).hexdigest()[:16]
-        self.interval = interval
         self.last_n = None
         self._since_flush = 0
         offset = 0
@@ -115,7 +119,7 @@ class CheckpointedWriter:
         self.fh.write((record_to_json(rec) + "\n").encode())
         self.last_n = rec.n
         self._since_flush += 1
-        if self._since_flush >= self.interval:
+        if self._since_flush >= _CKPT_INTERVAL:
             self._flush_ckpt()
 
     def _flush_ckpt(self) -> None:
@@ -142,12 +146,11 @@ def _emit(records, writer: CheckpointedWriter | None):
 # ---------------------------------------------------------------------------
 # Step I: sweep over squarefree n
 
-def _sweep_one(task, theta, report_selmer_min, height_bound, torsor_bound):
-    n, primes = task
-    nf = Factorization(1, tuple((p, 1) for p in primes))
-    E = build_curve(n, theta, n_factors=nf)
+def _sweep_one(n, theta, report_selmer_min, height_bound, torsor_bound):
+    E = build_curve(n, theta)
     s = selmer_rank(E)
-    rec = CandidateRecord(n=n, theta=theta, omega_odd=sum(1 for p in primes if p != 2), selmer=s)
+    omega_odd = sum(1 for p in E.bad_primes if p != 2 and n % p == 0)
+    rec = CandidateRecord(n=n, theta=theta, omega_odd=omega_odd, selmer=s)
     if s >= report_selmer_min:
         rec.points = search_points(E, height_bound, torsor_bound)
         rec.rank_lb = rank_lower_bound(rec.points, E)
@@ -158,25 +161,17 @@ _SIEVE_BLOCK = 1 << 14
 
 
 def _squarefree_tasks(lo: int, hi: int):
-    """(n, primes of n ascending) for each squarefree n in [lo, hi], in
-    increasing n.  [lo, hi] is sieved in blocks of _SIEVE_BLOCK by the primes
-    p <= isqrt(hi), each divided out of its multiples once: n is squarefree
-    iff no such p still divides what is left, which is then 1 or a prime."""
-    small = primes_below(math.isqrt(hi) + 1)
+    """Each squarefree n in [lo, hi], in increasing n.  [lo, hi] is sieved in
+    blocks of _SIEVE_BLOCK, each struck at the multiples of k^2 for 2 <= k <=
+    isqrt(hi), so memory stays flat on any range."""
+    root = math.isqrt(hi)
     for start in range(max(lo, 1), hi + 1, _SIEVE_BLOCK):
-        size = min(_SIEVE_BLOCK, hi + 1 - start)
-        rest = list(range(start, start + size))
-        found: list[list[int]] = [[] for _ in range(size)]
-        for p in small:
-            for i in range(-start % p, size, p):
-                rest[i] //= p
-                found[i].append(p)
-        for i, (m, primes) in enumerate(zip(rest, found)):
-            if any(m % p == 0 for p in primes):
-                continue
-            if m > 1:
-                primes.append(m)
-            yield start + i, tuple(primes)
+        flags = np.ones(min(_SIEVE_BLOCK, hi + 1 - start), dtype=bool)
+        for k in range(2, root + 1):
+            k2 = k * k
+            flags[-start % k2 :: k2] = False
+        for i in np.flatnonzero(flags).tolist():
+            yield start + i
 
 
 def run_sweep(
@@ -194,7 +189,7 @@ def run_sweep(
     resumed writer holds are skipped. Rows
     with selmer >= report_selmer_min also get a point search and a rank
     lower bound. workers > 1 computes the curves in a process pool."""
-    tasks = (t for t in _squarefree_tasks(lo, hi) if writer is None or not writer.skip(t[0]))
+    tasks = (n for n in _squarefree_tasks(lo, hi) if writer is None or not writer.skip(n))
     one = partial(_sweep_one, theta=theta, report_selmer_min=report_selmer_min,
                   height_bound=height_bound, torsor_bound=torsor_bound)
     if workers > 1:
@@ -333,20 +328,22 @@ def run_analyze(n: int, theta: ThetaParams, height_bound: int = 1000, torsor_bou
     lines.append(f"  2-torsion x: {E.two_torsion_x}")
     for N in (1000, 10000):
         lines.append(f"  S({N}) = {nagao_sum(E, N):.4f}")
-    rep = full_descent(E, height_bound, torsor_bound)
-    for dual, sel in ((False, rep.selmer_phi), (True, rep.selmer_phi_dual)):
+    for dual in (False, True):
         a, b = E.side(dual)
         side = "dual" if dual else "forward"
-        lines.append(f"  {side} torsors (a={a}, b={b}); Selmer set {sorted(sel, key=abs)}")
+        lines.append(f"  {side} torsors (a={a}, b={b}); Selmer set {sorted(phi_selmer(E, dual), key=abs)}")
         for d, verdicts in torsor_verdicts(E, dual):
             marks = (f"{'R' if place == REAL_PLACE else place}:{'ok' if ok else 'no'}" for place, ok in verdicts)
             lines.append(f"    d={d:>6}  {' '.join(marks)}")
-    lines.append(f"  selmer rank = {rep.selmer_rank}")
-    lines.append(f"  points found (bound {height_bound}/{torsor_bound}): {len(rep.points_found)}")
-    for P in rep.points_found[:10]:
+    s = selmer_rank(E)
+    pts = search_points(E, height_bound, torsor_bound)
+    lb = rank_lower_bound(pts, E)
+    lines.append(f"  selmer rank = {s}")
+    lines.append(f"  points found (bound {height_bound}/{torsor_bound}): {len(pts)}")
+    for P in pts[:10]:
         lines.append(f"    {P}")
-    lines.append(f"  rank lower bound from found points = {rep.rank_lb}")
-    lines.append(f"  certified: {rep.rank_lb} <= rank <= {rep.selmer_rank}")
+    lines.append(f"  rank lower bound from found points = {lb}")
+    lines.append(f"  certified: {lb} <= rank <= {s}")
     return "\n".join(lines)
 
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from thetacong import arith
 from thetacong.arith import (
     Factorization,
     _perfect_power,
@@ -176,6 +177,37 @@ def test_is_prime_edges():
     assert is_prime(41) and is_prime(43)
     # psi_12, a strong pseudoprime to every prime base up to 37
     assert not is_prime(318665857834031151167461)
+
+
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_past_psi_13():
+    # psi_13 is a strong pseudoprime to every prime base up to 41; the Lucas
+    # test shows it composite, and factorize splits it
+    assert not is_prime(PSI_13)
+    assert factorize(PSI_13) == Factorization(1, ((1287836182261, 1), (2575672364521, 1)))
+    for e in (89, 107, 127):
+        assert is_prime(2**e - 1)
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
+
+
+def test_is_prime_below_psi_13_is_miller_rabin_alone(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"Lucas test run on {n}")
+
+    monkeypatch.setattr(arith, "_lucas", refuse)
+    found = [n for n in range(PSI_13 - 300, PSI_13) if is_prime(n)]
+    assert found and all(n % 2 for n in found)
+    with pytest.raises(AssertionError, match="Lucas"):
+        is_prime(2**89 - 1)
+
+
+def test_is_prime_raises_when_no_lucas_base_decides(monkeypatch):
+    # 2 has order 89 mod 2^89 - 1, so base 2 alone decides nothing
+    monkeypatch.setattr(arith, "_LUCAS_BOUND", 3)
+    with pytest.raises(RuntimeError, match="no base"):
+        is_prime(2**89 - 1)
 
 
 def test_perfect_power_past_float_range():

@@ -32,7 +32,6 @@ from thetacong.descent import (
     Torsor,
     class_mul,
     descent_image,
-    full_descent,
     has_small_nontorsion_point,
     locally_solvable,
     phi_selmer,
@@ -841,32 +840,18 @@ def test_descent_reads_places_without_factoring(monkeypatch):
                 torsor_verdicts(short, dual)
 
 
-def test_full_descent_report_invariants():
+def test_selmer_sets_rank_and_points_agree():
     for n, theta in ((6, PI_3), (39, PI_3), (1, PI_3), (14, TWO_PI_3)):
         E = build_curve(n, theta)
-        rep = full_descent(E, height_bound=200, torsor_bound=40)
-        prod = len(rep.selmer_phi) * len(rep.selmer_phi_dual)
-        assert prod == 2 ** (rep.selmer_rank + 2)
-        assert 0 <= rep.rank_lb <= rep.selmer_rank
-        for P in rep.points_found:
+        s = selmer_rank(E)
+        assert len(phi_selmer(E)) * len(phi_selmer(E, dual=True)) == 2 ** (s + 2)
+        pts = search_points(E, 200, torsor_bound=40)
+        assert 0 <= rank_lower_bound(pts, E) <= s
+        for P in pts:
             assert is_on_curve(P, E)
 
 
-def test_full_descent_builds_each_selmer_set_once(monkeypatch):
-    calls = []
-    real = D.selmer_set
-
-    def spy(a, b, places):
-        calls.append((a, b))
-        return real(a, b, places)
-
-    monkeypatch.setattr(D, "selmer_set", spy)
-    rep = full_descent(build_curve(646, PI_3), height_bound=50, torsor_bound=10)
-    assert rep.selmer_rank == 3
-    assert len(calls) == 2
-
-
-def test_full_descent_pins_small_anchors():
+def test_small_anchor_ranks_pinned():
     for n, theta, rank in ((6, PI_3, 1), (39, PI_3, 2), (5, TWO_PI_3, 1), (14, TWO_PI_3, 2)):
-        rep = full_descent(build_curve(n, theta), height_bound=400, torsor_bound=60)
-        assert rep.rank_lb == rep.selmer_rank == rank
+        E = build_curve(n, theta)
+        assert rank_lower_bound(search_points(E, 400, torsor_bound=60), E) == selmer_rank(E) == rank

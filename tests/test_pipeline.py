@@ -11,8 +11,8 @@ import re
 import pytest
 
 from thetacong import pipeline
-from thetacong.arith import factorize, squarefree_count, squarefree_flags, squarefree_part
-from thetacong.candidates import CandidateRecord
+from thetacong.arith import squarefree_count, squarefree_flags, squarefree_part
+from thetacong.candidates import CandidateRecord, omega_odd
 from thetacong.curves import PI_3, TWO_PI_3, PointQ, build_curve, is_on_curve
 from thetacong.cli import main as cli_main
 from thetacong.dataset import PUBLISHED, TABLE1, find_published
@@ -75,12 +75,19 @@ def test_sweep_tally_partitions_range():
 
 def test_squarefree_tasks_match_factorization():
     # the sieve covers [lo, hi] alone, in blocks; windows straddle a block
-    # boundary and reach 5e6, where hi has primes above isqrt(hi)
+    # boundary and reach 5e6
     block = pipeline._SIEVE_BLOCK
     for lo, hi in ((1, 300), (block - 20, block + 20), (2 * block - 1, 2 * block), (99_990, 100_010),
                    (4_999_900, 5_000_000), (7, 3)):
-        want = [(n, tuple(factorize(n).primes())) for n in range(lo, hi + 1) if squarefree_part(n) == n]
-        assert list(pipeline._squarefree_tasks(lo, hi)) == want, (lo, hi)
+        want = [n for n in range(lo, hi + 1) if squarefree_part(n) == n]
+        got = list(pipeline._squarefree_tasks(lo, hi))
+        assert got == want and all(type(n) is int for n in got), (lo, hi)
+
+
+def test_sweep_omega_counts_odd_primes_of_n():
+    for theta in (PI_3, TWO_PI_3):
+        for rec in run_sweep(1, 300, theta, report_selmer_min=10**9):
+            assert rec.omega_odd == omega_odd(rec.n), (rec.n, theta.name)
 
 
 def test_sweep_records_satisfy_bounds():
@@ -102,23 +109,24 @@ def test_table1_small_matches_sweep():
 def test_checkpoint_resume_byte_identical(tmp_path):
     cfg = "sweep-test-config"
     base = tmp_path / "full.jsonl"
-    w = CheckpointedWriter(str(base), cfg, interval=8)
-    recs = list(run_sweep(1, 120, PI_3, report_selmer_min=3, writer=w))
+    w = CheckpointedWriter(str(base), cfg)
+    recs = list(run_sweep(1, 300, PI_3, report_selmer_min=3, writer=w))
     w.close()
     reference = base.read_bytes()
 
-    # interrupted run: stop mid-range without closing cleanly, then resume
+    # interrupted run: stop mid-range without closing cleanly, then resume;
+    # the 92 squarefree n <= 150 cross the writer's flush after 64 records
     part = tmp_path / "part.jsonl"
-    w1 = CheckpointedWriter(str(part), cfg, interval=8)
-    for i, rec in enumerate(recs):
-        if rec.n > 60:
+    w1 = CheckpointedWriter(str(part), cfg)
+    for rec in recs:
+        if rec.n > 150:
             break
         w1.write(rec)
     w1.fh.close()  # simulate a kill: no final checkpoint flush
-    w2 = CheckpointedWriter(str(part), cfg, resume=True, interval=8)
+    w2 = CheckpointedWriter(str(part), cfg, resume=True)
     assert w2.last_n is not None
     resume_after = w2.last_n
-    consumed = list(run_sweep(1, 120, PI_3, report_selmer_min=3, writer=w2))
+    consumed = list(run_sweep(1, 300, PI_3, report_selmer_min=3, writer=w2))
     w2.close()
     assert part.read_bytes() == reference
     # the resumed sweep recomputed only n past the checkpoint
@@ -127,12 +135,12 @@ def test_checkpoint_resume_byte_identical(tmp_path):
 
 def test_checkpoint_config_mismatch_restarts(tmp_path):
     path = tmp_path / "out.jsonl"
-    w = CheckpointedWriter(str(path), "config-A", interval=4)
-    for rec in run_sweep(1, 40, PI_3, report_selmer_min=99, writer=w):
+    w = CheckpointedWriter(str(path), "config-A")
+    for rec in run_sweep(1, 120, PI_3, report_selmer_min=99, writer=w):
         pass
     w.close()
     # resuming with a different config ignores the stale checkpoint
-    w2 = CheckpointedWriter(str(path), "config-B", resume=True, interval=4)
+    w2 = CheckpointedWriter(str(path), "config-B", resume=True)
     assert w2.last_n is None
     w2.close()
 
@@ -153,8 +161,8 @@ def _bad_checkpoints(path):
 
 def test_checkpoint_resume_refuses_a_bad_checkpoint(tmp_path):
     path = tmp_path / "out.jsonl"
-    w = CheckpointedWriter(str(path), "config-A", interval=4)
-    for rec in run_sweep(1, 40, PI_3, report_selmer_min=99, writer=w):
+    w = CheckpointedWriter(str(path), "config-A")
+    for rec in run_sweep(1, 120, PI_3, report_selmer_min=99, writer=w):
         pass
     w.close()
     for jsonl in _bad_checkpoints(path):
@@ -181,7 +189,7 @@ def test_parallel_sweep_matches_serial(tmp_path):
     out = {}
     for workers in (1, 2):
         path = tmp_path / f"w{workers}.jsonl"
-        w = CheckpointedWriter(str(path), "parallel-test", interval=16)
+        w = CheckpointedWriter(str(path), "parallel-test")
         recs = list(run_sweep(1, 400, TWO_PI_3, report_selmer_min=2, height_bound=100,
                               torsor_bound=20, workers=workers, writer=w))
         w.close()

@@ -1,12 +1,14 @@
 """Structure checks on the package source: no module reaches into another
-module's private names, and no module carries an unused import."""
+module's private names, no module carries an unused import, and every
+dataclass field is read somewhere."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "thetacong"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "thetacong"
 MODULES = sorted(SRC.glob("*.py"))
 # Imports kept only so that other code finds the name in that module.
 REEXPORTS = {"pipeline.py": {"factorize"}, "descent.py": {"factorize"}}
@@ -141,3 +143,30 @@ def test_descent_never_factors():
         if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "factorize"
     ]
     assert not calls, f"descent.py calls factorize on lines {calls}"
+
+
+def _is_dataclass_decorator(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def test_every_dataclass_field_is_read():
+    # a field that no code in the package or its tests reads as an attribute
+    # is state that nothing uses
+    fields = [
+        f"{path.name}:{node.name}.{stmt.target.id}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef) and any(_is_dataclass_decorator(d) for d in node.decorator_list)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    assert fields
+    read = {
+        node.attr
+        for path in MODULES + sorted(TESTS.glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [f for f in fields if f.rpartition(".")[2] not in read]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
