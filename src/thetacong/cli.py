@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 
+from .arith import is_squarefree
 from .curves import theta_from_name
 from .nagao import SieveConfig
 from .pipeline import (
@@ -32,13 +33,12 @@ def _parse_stages(text: str) -> SieveConfig:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-# --theta and --range keep their text, from which the checkpoint key is
-# built. argparse turns a ValueError from these types into a usage error such
-# as "argument --range: invalid lo_hi_integers value: '5'", and an
-# ArgumentTypeError into one that carries its message.
+# --range keeps its text and --theta the angle's name, from which the
+# checkpoint key is built. argparse turns a ValueError from these types into
+# a usage error such as "argument --range: invalid lo_hi_integers value: '5'",
+# and an ArgumentTypeError into one that carries its message.
 def theta_name(text: str) -> str:
-    theta_from_name(text)
-    return text
+    return theta_from_name(text).name
 
 
 def lo_hi_integers(text: str) -> str:
@@ -61,6 +61,12 @@ def positive_int(text: str) -> int:
 
 def nonnegative_int(text: str) -> int:
     return _int_at_least(0, text)
+
+
+def squarefree_int(text: str) -> int:
+    if not is_squarefree(value := positive_int(text)):
+        raise argparse.ArgumentTypeError(f"{value} is not squarefree")
+    return value
 
 
 def _load_config(ap: argparse.ArgumentParser, path: str) -> dict[str, str]:
@@ -106,7 +112,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     verify.add_argument("--quiet", action="store_true")
 
     analyze = sub.add_parser("analyze", help="deep dive on one curve")
-    analyze.add_argument("n", type=positive_int)
+    analyze.add_argument("n", type=squarefree_int)
 
     # the shared flags, each on the subcommands that read it
     for p in (sweep, hunt, table1, analyze):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize
+from .arith import factorize, is_prime
 
 Rat = Fraction | int
 
@@ -79,16 +79,37 @@ INFINITY = PointQ.infinity()
 
 @dataclass(frozen=True)
 class CurveQ:
-    """E_{n,theta} with exact integer coefficients y^2 = x^3 + a2 x^2 + a4 x,
-    and bad_primes, the support of disc in ascending order, from which the
-    descent reads every place and square class."""
+    """E_{n,theta}: y^2 = x^3 + a2 x^2 + a4 x, a2 = 2sn, a4 = -(r^2-s^2) n^2.
+    ValueError unless n >= 1 and bad_primes lists the primes of disc = 64 r^2
+    (r^2-s^2)^2 n^6 ascending; the descent reads every place off them."""
 
     n: int
     theta: ThetaParams
-    a2: int
-    a4: int
-    disc: int
     bad_primes: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be a positive integer")
+        m = 2 * self.theta.r * self.theta.alpha_sq * self.n
+        for p in self.bad_primes:
+            if not is_prime(p) or m % p:
+                raise ValueError(f"bad_primes of {self.label()} hold {p}, which is not a prime of its disc or comes twice")
+            while m % p == 0:
+                m //= p
+        if m != 1 or list(self.bad_primes) != sorted(self.bad_primes):
+            raise ValueError(f"bad_primes {self.bad_primes} of {self.label()} miss a prime of its disc or are not ascending")
+
+    @property
+    def a2(self) -> int:
+        return 2 * self.theta.s * self.n
+
+    @property
+    def a4(self) -> int:
+        return -self.theta.alpha_sq * self.n * self.n
+
+    @property
+    def disc(self) -> int:
+        return 16 * self.a4 * self.a4 * (self.a2 * self.a2 - 4 * self.a4)
 
     def side(self, dual: bool) -> tuple[int, int]:
         """(a, b) of y^2 = x(x^2 + a x + b): (a2, a4) for E, or (-2 a2,
@@ -111,19 +132,11 @@ class CurveQ:
 
 def build_curve(n: int, theta: ThetaParams) -> CurveQ:
     """Construct E_{n,theta} for squarefree n >= 1."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     fac = factorize(n)
     if not fac.is_squarefree():
         raise ValueError(f"n = {n} is not squarefree")
-    r, s = theta.r, theta.s
-    a2 = 2 * s * n
-    a4 = -(r * r - s * s) * n * n
-    # disc of y^2 = x(x^2 + a2 x + a4): 16 a4^2 (a2^2 - 4 a4)
-    disc = 16 * a4 * a4 * (a2 * a2 - 4 * a4)
-    # disc = 64 r^2 n^6 (r^2-s^2)^2, so support is {2} u supp(r) u supp(r^2-s^2) u supp(n)
-    bad = {2, *fac.primes(), *factorize(r * r * theta.alpha_sq).primes()}
-    return CurveQ(n, theta, a2, a4, disc, tuple(sorted(bad)))
+    bad = {2, *fac.primes(), *factorize(theta.r * theta.alpha_sq).primes()}
+    return CurveQ(n, theta, tuple(sorted(bad)))
 
 
 def is_on_curve(P: PointQ, E: CurveQ) -> bool:

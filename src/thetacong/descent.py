@@ -63,22 +63,6 @@ def class_mul(d1: int, d2: int) -> int:
 # ---------------------------------------------------------------------------
 # torsors
 
-def _support(m: int, places) -> list[int]:
-    """The places that divide m != 0; raises ValueError unless they are all
-    of its primes (dividing them out leaves +-1)."""
-    if m == 0:
-        raise ValueError("0 has no prime support")
-    primes = []
-    for p in places:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-    if abs(m) != 1:
-        raise ValueError(f"the places {tuple(places)} miss a prime factor of {m}")
-    return primes
-
-
 @dataclass(frozen=True)
 class Torsor:
     """Homogeneous space w^2 = d u^4 + a u^2 v^2 + c v^4 with c = b/d."""
@@ -302,12 +286,12 @@ def _shift_scale(g: list[int], r: int, p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Selmer sets
 
-def _torsor_classes(a: int, b: int, places) -> list[int]:
-    """Each signed squarefree d | b, ordered by |d| and then sign; ValueError
-    unless places hold every prime of 2 b (a^2 - 4b), where a torsor of (a, b)
-    can fail to be locally solvable."""
+def _torsor_classes(E: CurveQ, dual: bool) -> list[int]:
+    """Each signed squarefree d | b of E.side(dual), ordered by |d| and then
+    sign; E.bad_primes holds every prime of b, as CurveQ checks."""
+    b = E.side(dual)[1]
     divs = [1]
-    for p in _support(2 * b * (a * a - 4 * b), places):
+    for p in E.bad_primes:
         if b % p == 0:
             divs += [d * p for d in divs]
     return sorted((s * d for d in divs for s in (1, -1)), key=lambda d: (abs(d), d < 0))
@@ -329,41 +313,35 @@ def torsor_verdicts(E: CurveQ, dual: bool = False) -> list[tuple[int, list[tuple
     """Every torsor of one isogeny direction, as (d, local verdicts) for each
     signed squarefree d | b, decided as selmer_set decides them."""
     a, b = E.side(dual)
-    return [(d, _local_verdicts(Torsor.build(d, a, b), E.bad_primes))
-            for d in _torsor_classes(a, b, E.bad_primes)]
+    return [(d, _local_verdicts(Torsor.build(d, a, b), E.bad_primes)) for d in _torsor_classes(E, dual)]
 
 
-def selmer_set(a: int, b: int, places: tuple[int, ...]) -> frozenset[int]:
-    """All squarefree d | b whose torsor is solvable at R and at every place.
-
-    places must hold 2 and every prime of b and of a^2 - 4b, as
-    CurveQ.bad_primes does; ValueError otherwise.  Uses the subgroup
-    structure of the answer to skip cosets that are already decided.
-    """
+def selmer_set(E: CurveQ, dual: bool = False) -> frozenset[int]:
+    """S^phi: each squarefree d | b whose torsor of (a, b) = E.side(dual) is
+    solvable at R and at every bad prime.  Uses the subgroup structure of the
+    answer to skip cosets that are already decided."""
+    a, b = E.side(dual)
     members = {1}
     nonmembers: set[int] = set()
-    for d in _torsor_classes(a, b, places):
+    for d in _torsor_classes(E, dual):
         if d in members or d in nonmembers:
             continue
         if any(class_mul(d, s) in nonmembers for s in members):
             nonmembers.add(d)
             continue
-        if _local_verdicts(Torsor.build(d, a, b), places)[-1][1]:
+        if _local_verdicts(Torsor.build(d, a, b), E.bad_primes)[-1][1]:
             members |= {class_mul(d, s) for s in members}
         else:
             nonmembers.update(class_mul(d, s) for s in members)
     return frozenset(members)
 
 
-def phi_selmer(E: CurveQ, dual: bool = False) -> frozenset[int]:
-    """S^phi (dual=False: torsors of (a2, a4), bounding E(Q)/phi-hat E'(Q));
-    dual=True uses the isogenous curve E.side(True)."""
-    return selmer_set(*E.side(dual), E.bad_primes)
+phi_selmer = selmer_set  # the older name, kept because tests/test_acceptance.py imports it
 
 
 def selmer_rank(E: CurveQ) -> int:
     """log2(|S^phi| * |S^phi-hat|) - 2; an upper bound for the rank."""
-    s1, s2 = phi_selmer(E), phi_selmer(E, dual=True)
+    s1, s2 = selmer_set(E), selmer_set(E, dual=True)
     prod = len(s1) * len(s2)
     k = prod.bit_length() - 1
     if 1 << k != prod or k < 2:
@@ -486,7 +464,7 @@ def _x_points(E: CurveQ, mmax: int, emax: int):
     = 1.  The squarefree part d of m divides gcd(m, m^2 + a e^2 m + b e^4) =
     gcd(m, b), and m = d u^2 gives w^2 = d^2 u^2 (d u^4 + a u^2 e^2 + (b/d) e^4);
     every class d runs, not only the Selmer set."""
-    for d in _torsor_classes(E.a2, E.a4, E.bad_primes):
+    for d in _torsor_classes(E, False):
         if abs(d) <= mmax:
             T = Torsor.build(d, E.a2, E.a4)
             for u, v, r in _torsor_points(T, math.isqrt(mmax // abs(d)), emax, d):
@@ -499,7 +477,7 @@ def _selmer_points(E: CurveQ, bound: int):
     through the dual isogeny E' -> E."""
     for dual in (False, True):
         a, b = E.side(dual)
-        for d in phi_selmer(E, dual):
+        for d in selmer_set(E, dual):
             for u, v, r in _torsor_points(Torsor.build(d, a, b), bound, bound):
                 X, Y = Fraction(d * u * u, v * v), Fraction(d * u * r, v**3)
                 if dual:

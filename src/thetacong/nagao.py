@@ -67,6 +67,8 @@ class SieveConfig:
             raise ValueError("stage bounds must be strictly increasing")
         for N in bounds:
             _check_ceiling(N)
+        if any(math.isnan(thr) for _, thr in self.stages):
+            raise ValueError("a stage threshold is NaN, which no sum exceeds")
 
 
 def _euler_product(series: np.ndarray, step: int) -> np.ndarray:

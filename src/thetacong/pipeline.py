@@ -35,10 +35,10 @@ from .curves import (
 from .descent import (
     REAL_PLACE,
     has_small_nontorsion_point,
-    phi_selmer,
     rank_lower_bound,
     search_points,
     selmer_rank,
+    selmer_set,
     torsor_verdicts,
 )
 from .nagao import SieveConfig, nagao_sum, passes_filter
@@ -331,7 +331,7 @@ def run_analyze(n: int, theta: ThetaParams, height_bound: int = 1000, torsor_bou
     for dual in (False, True):
         a, b = E.side(dual)
         side = "dual" if dual else "forward"
-        lines.append(f"  {side} torsors (a={a}, b={b}); Selmer set {sorted(phi_selmer(E, dual), key=abs)}")
+        lines.append(f"  {side} torsors (a={a}, b={b}); Selmer set {sorted(selmer_set(E, dual), key=abs)}")
         for d, verdicts in torsor_verdicts(E, dual):
             marks = (f"{'R' if place == REAL_PLACE else place}:{'ok' if ok else 'no'}" for place, ok in verdicts)
             lines.append(f"    d={d:>6}  {' '.join(marks)}")

@@ -1,5 +1,6 @@
 """Curve family construction and exact group-law tests."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -65,6 +66,52 @@ def test_build_curve_rejects_bad_n():
         build_curve(0, PI_3)
     with pytest.raises(ValueError):
         build_curve(-5, PI_3)
+
+
+def test_curve_is_n_theta_and_bad_primes():
+    assert [f.name for f in dataclasses.fields(CurveQ)] == ["n", "theta", "bad_primes"]
+    for n in (1, 6, 35, 646, 221, 12710):
+        for theta in (PI_3, TWO_PI_3):
+            E = build_curve(n, theta)
+            assert CurveQ(n, theta, E.bad_primes) == E
+            assert E.bad_primes == tuple(sorted({2, 3, *factorize(n).primes()}))
+
+
+def test_curve_rejects_n_below_one():
+    for n in (-6, 0):
+        with pytest.raises(ValueError, match="positive"):
+            CurveQ(n, PI_3, (2, 3))
+
+
+def test_curve_rejects_bad_primes_missing_a_prime():
+    with pytest.raises(ValueError, match="miss a prime"):
+        CurveQ(35, PI_3, (2, 3, 5))
+    for entry in PUBLISHED:
+        E = build_curve(entry.n, entry.theta)
+        for i in range(len(E.bad_primes)):
+            with pytest.raises(ValueError, match="miss a prime"):
+                dataclasses.replace(E, bad_primes=E.bad_primes[:i] + E.bad_primes[i + 1 :])
+
+
+def test_curve_rejects_bad_primes_outside_the_disc():
+    for primes in ((2, 3, 5, 7, 11), (2, 3, 5, 7, 7), (2, 3, 35), (1, 2, 3, 5, 7), (-1, 2, 3, 5, 7), (0, 2, 3, 5, 7)):
+        with pytest.raises(ValueError, match="35"):
+            CurveQ(35, TWO_PI_3, primes)
+
+
+def test_curve_rejects_unsorted_bad_primes():
+    for primes in ((3, 2, 5, 7), (2, 3, 7, 5), (7, 5, 3, 2)):
+        with pytest.raises(ValueError, match="not ascending"):
+            CurveQ(35, PI_3, primes)
+
+
+def test_curve_rejects_stale_bad_primes_after_replace():
+    E = build_curve(646, PI_3)
+    for n in (7, 17, 646 * 5):
+        with pytest.raises(ValueError):
+            dataclasses.replace(E, n=n)
+    # 323 = 17 * 19 has the bad primes of 646 = 2 * 17 * 19
+    assert dataclasses.replace(E, n=323) == build_curve(323, PI_3)
 
 
 def test_disc_canonical_formula():

@@ -305,6 +305,15 @@ def test_cli_sweep_with_output(tmp_path, capsys):
     assert os.path.exists(str(out_path) + ".ckpt")
 
 
+def test_cli_theta_spellings_share_one_checkpoint(tmp_path, capsys):
+    # the checkpoint key holds --out too, so every run writes the same path
+    out_path, hashes = tmp_path / "s.jsonl", set()
+    for spelling in ("pi/3", "PI/3", " pi / 3"):
+        assert cli_main(["sweep", "--range", "1:20", "--theta", spelling, "--out", str(out_path)]) == 0
+        hashes.add(json.loads(pathlib.Path(str(out_path) + ".ckpt").read_text())["config"])
+    assert len(hashes) == 1
+
+
 def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path, capsys):
     out_path = tmp_path / "t.jsonl"
     for argv in (
@@ -337,6 +346,8 @@ def test_cli_rejects_bad_values(capsys):
         (["sweep", "--range", "1:10", "--workers", "0"], "--workers"),
         (["hunt", "--pmax", "0", "--qmax", "5"], "--pmax"),
         (["hunt", "--pmax", "5", "--qmax", "0"], "--qmax"),
+        (["analyze", "12"], "n"),
+        (["hunt", "--pmax", "5", "--qmax", "5", "--stages", "1000:nan"], "--stages"),
     ):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
