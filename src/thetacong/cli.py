@@ -7,6 +7,8 @@ the command line win.  Exit code is nonzero when verification fails.
 from __future__ import annotations
 
 import argparse
+import itertools
+import os
 
 from .arith import is_squarefree
 from .curves import theta_from_name
@@ -175,13 +177,16 @@ def main(argv=None) -> int:
         _print_tally(run_table1(args.bound, theta, workers=args.workers))
         return 0
 
-    writer = None
+    writer, kept = None, ()
     if args.out:
-        key = repr(sorted((k, str(v)) for k, v in vars(args).items() if k not in ("checkpoint", "workers")))
+        # two spellings of one --out path share the key, so either resumes the other
+        flags = dict(vars(args), out=os.path.normpath(args.out))
+        key = repr(sorted((k, str(v)) for k, v in flags.items() if k not in ("checkpoint", "workers")))
         try:
             writer = CheckpointedWriter(args.out, key, resume=args.checkpoint)
         except ValueError as err:
             ap.error(str(err))
+        kept = writer.kept()  # a resumed run reports the records it keeps too
 
     try:
         if args.command == "sweep":
@@ -194,10 +199,10 @@ def main(argv=None) -> int:
                 workers=args.workers,
                 writer=writer,
             )
-            _print_tally(selmer_tally(recs))
+            _print_tally(selmer_tally(itertools.chain(kept, recs)))
         else:
             count = 0
-            for rec in run_hunt(
+            for rec in itertools.chain(kept, run_hunt(
                 args.pmax, args.qmax, theta,
                 min_omega=args.min_omega,
                 sieve=args.stages,
@@ -205,7 +210,7 @@ def main(argv=None) -> int:
                 height_bound=args.height_bound,
                 torsor_bound=args.torsor_bound,
                 writer=writer,
-            ):
+            )):
                 count += 1
                 print(f"n={rec.n} omega={rec.omega_odd} selmer={rec.selmer} rank_lb={rec.rank_lb}")
             print(f"{count} survivors")

@@ -15,6 +15,17 @@ bounded point search: one sieved sweep of coprime (u, v) on torsors.  An x =
 m/e^2 in lowest terms is d u^2/v^2 with d | b, so the search over |m|, e <= H
 runs on the forward torsors with |d| <= H and yields y > 0; the Selmer
 torsors of both directions yield y = d u w / v^3.
+
+selmer_set asks that engine only at R and at the primes of 2r(r^2 - s^2),
+which are 2 and 3 for both angles.  At every other bad prime p, a prime of
+n with p || n, the torsor of d is solvable iff [d]_p lies in the image of
+the 2-torsion E(Q_p)[2], read off in closed form (_twist_image, which holds
+the proof; Monsky, appendix to Heath-Brown, Invent. Math. 118, 1994).  For
+the two angles that image is <[-3]_p, [sn]_p> forward, (a, b) = (2sn,
+-3n^2), which is every class when p = 2 mod 3; and dual, (a, b) = (-4sn,
+16n^2), it is {1, [-sn]_p} when p = 1 mod 3 and {1} otherwise.
+locally_solvable and torsor_verdicts keep the engine at every prime, so it
+is the closed form's oracle.
 """
 
 from __future__ import annotations
@@ -311,16 +322,58 @@ def _local_verdicts(T: Torsor, places: tuple[int, ...]) -> list[tuple[str | int,
 
 def torsor_verdicts(E: CurveQ, dual: bool = False) -> list[tuple[int, list[tuple[str | int, bool]]]]:
     """Every torsor of one isogeny direction, as (d, local verdicts) for each
-    signed squarefree d | b, decided as selmer_set decides them."""
+    signed squarefree d | b, decided by locally_solvable at R and at every bad
+    prime; selmer_set reaches the same set with _twist_image at p || n."""
     a, b = E.side(dual)
     return [(d, _local_verdicts(Torsor.build(d, a, b), E.bad_primes)) for d in _torsor_classes(E, dual)]
+
+
+def _twist_image(E: CurveQ, dual: bool, p: int) -> set[tuple[int, int]]:
+    """The _qp_class of each [d]_p whose torsor of (a, b) = E.side(dual) is
+    solvable at p, for a prime p || n with p not dividing 2r(r^2 - s^2).
+
+    Write (a, b) = (n a1, n^2 b1).  The curve y^2 = x(x^2 + a x + b) is the
+    twist by n of y^2 = x(x^2 + a1 x + b1), whose discriminant 16 b1^2 (a1^2
+    - 4 b1) is a unit at p: a1^2 - 4 b1 is 4r^2 forward and -16(r^2 - s^2)
+    dual, b1 is -(r^2 - s^2) and 4r^2.  So that curve has good reduction at
+    p, and its twist by n, of odd valuation, has additive reduction of type
+    I0* (p is odd).  Then E0(Q_p) is pro-p: E0/E1 is the additive group of
+    F_p and E1 is the formal group, isomorphic to pZ_p.  With p odd, E0(Q_p)
+    is uniquely 2-divisible, and Phi = E(Q_p)/E0(Q_p) is a subgroup of the
+    I0* component group (Z/2)^2, so 2 Phi = 0.  Multiplication by 2 on 0 ->
+    E0 -> E(Q_p) -> Phi -> 0 gives, by the snake lemma, E(Q_p)[2] = Phi[2] =
+    Phi and E(Q_p)/2E(Q_p) = Phi.  So every class of E(Q_p)/2E(Q_p) holds a
+    2-torsion point, and the image of x -> [x]_p, which kills 2E(Q_p), is the
+    image of E(Q_p)[2]; the torsor of d has a Q_p-point iff [d]_p lies in it
+    (Silverman, AEC X.4.9).  The 2-torsion maps O to 1, (0, 0) to [b]_p =
+    [b1]_p, and (n e, 0), for each root e in Q_p of x^2 + a1 x + b1, to [n
+    e]_p.  The roots lie in Q_p iff a1^2 - 4 b1 is a square mod p; they are
+    units, as their product is b1, so [n e]_p has odd valuation and unit part
+    (n/p) e.
+    """
+    n = E.n
+    a, b = E.side(dual)
+    a1, b1 = a // n, b // (n * n)
+    image = {(0, 1), (0, legendre(b1, p))}
+    rt = sqrt_mod(a1 * a1 - 4 * b1, p)
+    if rt is not None:
+        half = (p + 1) // 2  # 1/2 mod p
+        image.update((1, legendre(n // p * (sign * rt - a1) * half, p)) for sign in (1, -1))
+    return image
 
 
 def selmer_set(E: CurveQ, dual: bool = False) -> frozenset[int]:
     """S^phi: each squarefree d | b whose torsor of (a, b) = E.side(dual) is
     solvable at R and at every bad prime.  Uses the subgroup structure of the
-    answer to skip cosets that are already decided."""
+    answer to skip cosets that are already decided.  A class left undecided
+    is tested at the primes p || n prime to 2r(r^2 - s^2) against
+    _twist_image, and only a class that passes them all goes to
+    locally_solvable at R and the other bad primes."""
     a, b = E.side(dual)
+    m = 2 * E.theta.r * E.theta.alpha_sq
+    twisted = [p for p in E.bad_primes if m % p and E.n % (p * p)]
+    images = [(p, _twist_image(E, dual, p)) for p in twisted]
+    places = tuple(p for p in E.bad_primes if p not in twisted)
     members = {1}
     nonmembers: set[int] = set()
     for d in _torsor_classes(E, dual):
@@ -329,7 +382,8 @@ def selmer_set(E: CurveQ, dual: bool = False) -> frozenset[int]:
         if any(class_mul(d, s) in nonmembers for s in members):
             nonmembers.add(d)
             continue
-        if _local_verdicts(Torsor.build(d, a, b), E.bad_primes)[-1][1]:
+        if (all(_qp_class(d, p) in image for p, image in images)
+                and _local_verdicts(Torsor.build(d, a, b), places)[-1][1]):
             members |= {class_mul(d, s) for s in members}
         else:
             nonmembers.update(class_mul(d, s) for s in members)

@@ -3,13 +3,12 @@ verification, and single-curve analysis, with JSONL persistence and
 resumable checkpoints.
 
 Records are one JSON object per line, ordered by n; the checkpoint file
-stores the config hash, the last contiguously flushed n, and the byte
-offset, so an interrupted run resumes to byte-identical output.
+stores the config key itself, the last contiguously flushed n, and the
+byte offset, so an interrupted run resumes to byte-identical output.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import multiprocessing
@@ -63,7 +62,7 @@ def record_to_json(rec: CandidateRecord) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
 
-def record_from_json(line: str) -> CandidateRecord:
+def record_from_json(line: str | bytes) -> CandidateRecord:
     """The record that record_to_json wrote; empty fields come back as
     CandidateRecord's defaults."""
     obj = json.loads(line)
@@ -88,7 +87,7 @@ class CheckpointedWriter:
     def __init__(self, path: str, config_key: str, resume: bool = False):
         self.path = path
         self.ckpt_path = path + ".ckpt"
-        self.config_hash = hashlib.sha256(config_key.encode()).hexdigest()[:16]
+        self.config_key = config_key
         self.last_n = None
         self._since_flush = 0
         offset = 0
@@ -103,12 +102,20 @@ class CheckpointedWriter:
                     raise ValueError(f"offset {end} lies past the end of {path}")
             except (ValueError, KeyError, TypeError) as err:
                 raise ValueError(f"checkpoint {self.ckpt_path} cannot be resumed: {err!r}") from None
-            if config == self.config_hash:
+            if config == config_key:
                 offset, self.last_n = end, last_n
+        self._kept_bytes = offset
         self.fh = open(path, "ab" if offset else "wb")
         if offset:
             self.fh.truncate(offset)
             self.fh.seek(offset)
+
+    def kept(self):
+        """The records a resumed run keeps from the one before, read back
+        from the JSONL in n order; none when the run starts afresh."""
+        with open(self.path, "rb") as fh:
+            while fh.tell() < self._kept_bytes:
+                yield record_from_json(fh.readline())
 
     def skip(self, n: int) -> bool:
         return self.last_n is not None and n <= self.last_n
@@ -126,7 +133,7 @@ class CheckpointedWriter:
         self.fh.flush()
         tmp = self.ckpt_path + ".tmp"
         with open(tmp, "w") as fh:
-            json.dump({"config": self.config_hash, "last_n": self.last_n, "offset": self.fh.tell()}, fh)
+            json.dump({"config": self.config_key, "last_n": self.last_n, "offset": self.fh.tell()}, fh)
         os.replace(tmp, self.ckpt_path)
         self._since_flush = 0
 

@@ -14,12 +14,22 @@ from fractions import Fraction
 import pytest
 
 import thetacong.descent as D
-from thetacong.arith import factorize, is_square, legendre, squarefree_flags, squarefree_part, valuation
+from thetacong.arith import (
+    factorize,
+    is_square,
+    is_squarefree,
+    legendre,
+    squarefree_flags,
+    squarefree_part,
+    valuation,
+)
 from thetacong.curves import (
     INFINITY,
     PI_3,
     TWO_PI_3,
+    CurveQ,
     PointQ,
+    ThetaParams,
     add,
     build_curve,
     is_on_curve,
@@ -575,6 +585,55 @@ def test_selmer_order_product_e221():
     s1 = phi_selmer(E, dual=False)
     s2 = phi_selmer(E, dual=True)
     assert len(s1) * len(s2) == 2**5
+
+
+def test_twist_image_matches_engine_on_desk_torsors():
+    # the closed form against the p-adic engine on every family torsor at
+    # every bad p >= 5, squarefree n <= 3000, both angles and directions
+    flags, pairs = squarefree_flags(3000), 0
+    for theta in (PI_3, TWO_PI_3):
+        for n in range(1, 3001):
+            if not flags[n]:
+                continue
+            E = build_curve(n, theta)
+            for dual in (False, True):
+                a, b = E.side(dual)
+                for p in (p for p in E.bad_primes if p >= 5):
+                    image = D._twist_image(E, dual, p)
+                    for d in D._torsor_classes(E, dual):
+                        assert (D._qp_class(d, p) in image) == locally_solvable(Torsor.build(d, a, b), p), \
+                            (n, theta.name, dual, d, p)
+                        pairs += 1
+    assert pairs == 210_576
+
+
+def test_selmer_set_asks_the_engine_only_at_r_2_and_3(monkeypatch):
+    curves = [build_curve(n, theta) for theta in (PI_3, TWO_PI_3)
+              for n in [*range(1, 400), *(e.n for e in PUBLISHED if e.theta == theta)] if is_squarefree(n)]
+    expected = {(E.n, E.theta.name, dual): selmer_set(E, dual) for E in curves for dual in (False, True)}
+    asked = set()
+
+    def recorder(T, place):
+        asked.add(place)
+        return locally_solvable(T, place)
+
+    monkeypatch.setattr(D, "locally_solvable", recorder)
+    for E in curves:
+        for dual in (False, True):
+            assert selmer_set(E, dual) == expected[E.n, E.theta.name, dual]
+    assert asked == {REAL_PLACE, 2, 3}
+
+
+def test_selmer_set_matches_engine_off_the_two_angles():
+    # the closed form covers any angle, and a p with p^2 | n goes to the engine
+    curves = [build_curve(n, theta) for theta in (ThetaParams(5, 3), ThetaParams(7, 2), ThetaParams(9, -4))
+              for n in range(1, 200) if is_squarefree(n)]
+    curves += [CurveQ(n, theta, tuple(sorted({2, 3, *factorize(n).primes()})))
+               for n in (12, 50, 75, 98, 363, 1250, 3185) for theta in (PI_3, TWO_PI_3)]
+    for E in curves:
+        for dual in (False, True):
+            engine = {d for d, verdicts in torsor_verdicts(E, dual) if verdicts[-1][1]}
+            assert set(selmer_set(E, dual)) == engine, (E.n, E.theta, dual)
 
 
 def test_selmer_set_brute_reference():

@@ -7,6 +7,8 @@ import os
 import pathlib
 import pickle
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -312,6 +314,66 @@ def test_cli_theta_spellings_share_one_checkpoint(tmp_path, capsys):
         assert cli_main(["sweep", "--range", "1:20", "--theta", spelling, "--out", str(out_path)]) == 0
         hashes.add(json.loads(pathlib.Path(str(out_path) + ".ckpt").read_text())["config"])
     assert len(hashes) == 1
+
+
+_SWEEP_ONE = pipeline._sweep_one
+
+
+class _Killed(Exception):
+    pass
+
+
+def _counting_sweep_one(monkeypatch, stop_after=None):
+    """Record each n the sweep computes; raise _Killed past stop_after, as a
+    kill would stop the run."""
+    computed = []
+
+    def one(n, *args, **kwargs):
+        if stop_after is not None and n > stop_after:
+            raise _Killed
+        computed.append(n)
+        return _SWEEP_ONE(n, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_sweep_one", one)
+    return computed
+
+
+def test_cli_resumed_sweep_reports_the_whole_run(tmp_path, capsys, monkeypatch):
+    argv = ["sweep", "--range", "1:300", "--torsor-bound", "10"]
+    full, part = tmp_path / "full.jsonl", tmp_path / "part.jsonl"
+    assert cli_main(argv + ["--out", str(full)]) == 0
+    reference = capsys.readouterr().out
+    assert reference.split()[-1] == "183"
+
+    _counting_sweep_one(monkeypatch, stop_after=150)
+    with pytest.raises(_Killed):
+        cli_main(argv + ["--out", str(part)])
+    capsys.readouterr()
+    computed = _counting_sweep_one(monkeypatch)
+    assert cli_main(argv + ["--out", str(part), "--checkpoint"]) == 0
+    assert capsys.readouterr().out == reference
+    assert part.read_bytes() == full.read_bytes()
+    assert computed and min(computed) > 150
+
+
+def test_cli_out_spellings_resume_each_other(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--range", "1:300", "--torsor-bound", "10"]
+    assert cli_main(argv + ["--out", "r.jsonl"]) == 0
+    reference, data = capsys.readouterr().out, (tmp_path / "r.jsonl").read_bytes()
+    computed = _counting_sweep_one(monkeypatch)
+    assert cli_main(argv + ["--out", "./r.jsonl", "--checkpoint"]) == 0
+    assert computed == []
+    assert capsys.readouterr().out == reference
+    assert (tmp_path / "r.jsonl").read_bytes() == data
+
+
+def test_cli_import_leaves_hashlib_out():
+    # hashlib loads OpenSSL; the checkpoint stores its config key as it is
+    code = "import sys, thetacong.cli\nassert 'hashlib' not in sys.modules"
+    src = pathlib.Path(pipeline.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path, capsys):
